@@ -32,9 +32,6 @@ BENCH_SEED = 2006
 #: partner-selection policy spec driving the flagship trace
 #: (NAME[:key=val,...] from the overlay registry)
 BENCH_POLICY = os.environ.get("REPRO_BENCH_POLICY", "uusee")
-#: exchange-engine backend generating the cached traces
-#: (object | soa | soa-exact); part of the trace cache key
-BENCH_ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "object")
 #: windowed-structure analytics mode (incremental | full) for the
 #: benchmarks that honour it; recorded in BENCH_report.json so runs on
 #: different modes are never compared as like-for-like
@@ -86,7 +83,6 @@ def flagship_trace() -> TraceReader:
         seed=BENCH_SEED,
         with_flash_crowd=True,
         policy=BENCH_POLICY,
-        engine=BENCH_ENGINE,
     )
 
 
@@ -98,7 +94,6 @@ def _ablation_trace(policy: SelectionPolicy) -> TraceReader:
         seed=77,
         with_flash_crowd=False,
         policy=policy,
-        engine=BENCH_ENGINE,
     )
 
 
@@ -218,7 +213,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "peers": BENCH_BASE,
             "seed": BENCH_SEED,
             "policy": _policy_info(BENCH_POLICY),
-            "engine": BENCH_ENGINE,
             "analytics": BENCH_ANALYTICS,
             "workers": BENCH_WORKERS,
             "git_sha": _git_sha(),

@@ -1,17 +1,15 @@
-"""Backend and analytics throughput: object vs SoA, full vs incremental.
-
-Two benchmark pairs, kept adjacent so every BENCH_report.json carries
-both sides of each ratio:
+"""Exchange-round and windowed-analytics throughput.
 
 - the 5 000-peer *exchange round* (demand spreading, allocation,
-  accounting — the data plane the SoA backend vectorises) on the object
-  backend vs the SoA backend.  This deliberately isolates ``run_round``
-  from membership churn: at UUSee churn rates the tracker/connect
-  control plane does comparable work per round, is identical Python on
-  both backends, and would otherwise drown the quantity under test.
+  accounting).  This deliberately isolates ``run_round`` from
+  membership churn: at UUSee churn rates the tracker/connect control
+  plane does comparable work per round and would otherwise drown the
+  quantity under test.
 - windowed structure analytics (degree histograms, reciprocity,
   clustering) recomputed per window vs maintained incrementally from
-  edge deltas (target >= 2x), on a 12-hour ~700-peer trace.
+  edge deltas (target >= 2x), on a 12-hour ~700-peer trace.  The pair is
+  kept adjacent so every BENCH_report.json carries both sides of the
+  ratio.
 
 Ratios are derived from the report, not asserted here: wall-clock on a
 shared box is too noisy for a hard gate, and ``baseline.json`` already
@@ -27,17 +25,15 @@ FIVE_K = 5_000.0
 ROUND = 600.0
 
 
-def _warm_system(engine: str) -> UUSeeSystem:
-    config = SystemConfig(
-        seed=99, base_concurrency=FIVE_K, flash_crowd=None, engine=engine
-    )
+def _warm_system() -> UUSeeSystem:
+    config = SystemConfig(seed=99, base_concurrency=FIVE_K, flash_crowd=None)
     system = UUSeeSystem(config, InMemoryTraceStore())
     system.run(seconds=2 * 3600)  # ramp membership to steady state
     return system
 
 
-def _bench_exchange_rounds(benchmark, engine: str) -> None:
-    system = _warm_system(engine)
+def test_exchange_round_5k(benchmark):
+    system = _warm_system()
     exchange = system.exchange
     clock = [system.engine.now]
 
@@ -53,19 +49,9 @@ def _bench_exchange_rounds(benchmark, engine: str) -> None:
     assert stats.transfers > 0
 
 
-def test_exchange_round_5k_object(benchmark):
-    _bench_exchange_rounds(benchmark, "object")
-
-
-def test_exchange_round_5k_soa(benchmark):
-    _bench_exchange_rounds(benchmark, "soa")
-
-
 def _window_trace():
     """12 simulated hours at ~700 peers: ~70 analysis windows."""
-    config = SystemConfig(
-        seed=99, base_concurrency=700.0, flash_crowd=None, engine="soa"
-    )
+    config = SystemConfig(seed=99, base_concurrency=700.0, flash_crowd=None)
     system = UUSeeSystem(config, InMemoryTraceStore())
     system.run(seconds=12 * 3600)
     return list(system.trace_server.store.reports)

@@ -122,7 +122,6 @@ def run_simulation_to_trace(
     faults: FaultPlan | None = None,
     channel_faults: ChannelFaults | None = None,
     trace_mode: str = "overwrite",
-    engine: str = "object",
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Path:
     """Simulate a UUSee deployment and write its trace to ``path``.
@@ -132,7 +131,6 @@ def run_simulation_to_trace(
     injects infrastructure faults into the simulated system;
     ``channel_faults`` damages the report stream on its way to disk
     (producing a dirty trace that needs the tolerant readers).
-    ``engine`` picks the exchange backend (see ``SystemConfig.engine``).
     """
     path = Path(path)
     policy_enum, overlay = normalize_policy(policy)
@@ -144,7 +142,6 @@ def run_simulation_to_trace(
         overlay=overlay,
         protocol=protocol or ProtocolConfig(),
         faults=faults,
-        engine=engine,
     )
     with JsonlTraceStore(path, mode=trace_mode, obs=obs) as store:
         sink = (
@@ -246,9 +243,8 @@ def run_campaign(
     ``checkpoint_scope`` narrows the checkpoint config token (shard
     identity); ``compute_content_sha`` additionally digests the final
     trace content into ``CampaignResult.content_sha256``.  ``engine``
-    picks the exchange backend (see ``SystemConfig.engine``); resumes
-    must use the engine that took the checkpoint (the config token
-    pins it).
+    accepts only ``"object"`` (see ``SystemConfig.engine``); any other
+    value raises ``ValueError`` before anything is written.
     """
     if isinstance(resume, str) and resume != "auto":
         raise ValueError(f"resume must be True, False or 'auto', got {resume!r}")

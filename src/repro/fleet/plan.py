@@ -145,7 +145,6 @@ class ShardSpec:
     records_per_segment: int = 100_000
     compress: bool = False
     fsync_on_flush: bool = False
-    engine: str = "object"
     heartbeat_every_rounds: int = 1
     ingest: IngestSpec | None = None
     chaos: ChaosSpec | None = None
@@ -232,7 +231,6 @@ def build_plan(
     records_per_segment: int = 100_000,
     compress: bool = False,
     fsync_on_flush: bool = False,
-    engine: str = "object",
     heartbeat_every_rounds: int = 1,
     ingest: IngestSpec | None = None,
     chaos: dict[int, ChaosSpec] | None = None,
@@ -265,7 +263,6 @@ def build_plan(
                 records_per_segment=records_per_segment,
                 compress=compress,
                 fsync_on_flush=fsync_on_flush,
-                engine=engine,
                 heartbeat_every_rounds=heartbeat_every_rounds,
                 ingest=ingest,
                 chaos=(chaos or {}).get(sid),

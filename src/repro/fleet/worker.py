@@ -190,7 +190,6 @@ def run_shard(
         fsync_on_flush=spec.fsync_on_flush,
         checkpoint_scope=spec.scope_token(),
         ingest=ingest_client,
-        engine=spec.engine,
         stop=stop.is_set,
         on_round=on_round,
         compute_content_sha=spec.ingest is None,

@@ -90,8 +90,9 @@ WALL_CLOCK_CALLS = frozenset(
 #: overlay package joins because partner policies run inside the
 #: simulated exchange rounds: any wall-clock read there would leak real
 #: time into partner selection and break campaign reproducibility.  The
-#: soa package is the simulator's hot path rehosted on flat arrays (plus
-#: the incremental analytics), so it inherits the simulator's rules.
+#: soa package holds the incremental window analytics, which run on
+#: simulated report timestamps exactly like ``core``, so it inherits the
+#: same rules.
 SIMULATED_TIME_SEGMENTS = frozenset(
     {"simulator", "traces", "core", "obs", "ingest", "fleet", "overlay", "soa"}
 )

@@ -119,19 +119,8 @@ def config_token(config: SystemConfig, scope: str = "") -> str:
     even though both run the same :class:`SystemConfig` shape.  The
     empty scope leaves the token byte-identical to pre-scope builds, so
     existing checkpoints stay restorable.
-
-    The engine backend participates the same way: the default
-    ``"object"`` engine leaves the token unchanged (the field is
-    ``token_exclude``-marked), while ``engine="soa"`` or
-    ``engine="soa-exact"`` appends an ``#engine=`` suffix — an SoA
-    campaign's checkpoints restore only into a system configured with
-    the same backend, even when (as with ``soa-exact``) the two
-    backends are draw-identical.
     """
     canonical = _canonical(config)
-    engine = getattr(config, "engine", "object")
-    if engine != "object":
-        canonical = f"{canonical}#engine={engine}"
     if scope:
         canonical = f"{canonical}#scope={scope}"
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -205,10 +194,10 @@ def snapshot_system(
     return {
         "config_token": config_token(system.config, scope),
         # Self-describing engine backend (absent in older checkpoints
-        # means "object").  Peers pickle engine-agnostically — SoA views
-        # reduce to plain Peer/Link objects — so this key documents
-        # provenance and backstops the config-token check on restore.
-        "engine": system.config.engine,
+        # means "object").  This key documents provenance: checkpoints
+        # written by the removed struct-of-arrays backends carry another
+        # value and are refused on restore.
+        "engine": "object",
         "clock": system.engine.clock_state(),
         "rounds_completed": system.rounds_completed,
         "trace_records": trace_records,  # repro: noqa[REP101] consumed by run_campaign's store.rollback, not restore_into
@@ -280,21 +269,15 @@ def restore_into(
             "resume with the original config or start a fresh campaign"
         )
     engine = state.get("engine", "object")
-    if engine != system.config.engine:
+    if engine != "object":
         raise CheckpointError(
-            f"checkpoint was taken under the {engine!r} engine backend "
-            f"but this system runs {system.config.engine!r}; resume with "
-            "the original --engine"
+            f"checkpoint was taken under the {engine!r} engine backend, "
+            "which was removed; only 'object' checkpoints can be restored"
         )
     system.engine.restore_clock(state["clock"])
     system.rounds_completed = state["rounds_completed"]
     system.peers.clear()
     system.peers.update(state["peers"])
-    # SoA systems re-pack the restored plain peers/links into fresh
-    # arrays; the object backend's hook is a no-op.  Row packing after
-    # resume differs from the uninterrupted run, but no engine reduction
-    # depends on row order, so the resumed run stays draw-identical.
-    system.exchange.adopt_restored()
     system.tracker = state["tracker"]
     system.exchange.tracker = state["tracker"]
     system.arrivals = state["arrivals"]

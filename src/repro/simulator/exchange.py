@@ -130,7 +130,7 @@ class ExchangeEngine:
         # fresh-link floors) are computed once instead of in every hot
         # call; anything that changes a channel's rate or the protocol
         # config mid-run must call ``invalidate_channel_consts``.
-        self._channel_consts: dict[int, ChannelConsts] = {}
+        self._channel_consts: dict[int, ChannelConsts] = {}  # repro: noqa[REP101] derived cache; rebuilt lazily from catalogue and config after restore
 
     def invalidate_channel_consts(self, channel_id: int | None = None) -> None:
         """Drop cached per-channel constants after a config change.
@@ -144,22 +144,6 @@ class ExchangeEngine:
             self._channel_consts.clear()
         else:
             self._channel_consts.pop(channel_id, None)
-
-    # -- engine-specific peer representation hooks ---------------------------
-    #
-    # The object backend stores protocol state directly on Peer/Link, so
-    # these are identities; the SoA backend overrides them to move state
-    # into flat arrays (and back) at admission/departure/restore edges.
-
-    def adopt_peer(self, peer: Peer) -> Peer:
-        """Convert a freshly built peer into this engine's representation."""
-        return peer
-
-    def release_peer(self, peer: Peer) -> None:
-        """Reclaim engine resources for a departed/crashed peer."""
-
-    def adopt_restored(self) -> None:
-        """Rebuild engine state after ``self.peers`` was checkpoint-restored."""
 
     def _consts(self, channel_id: int) -> ChannelConsts:
         """Cached per-channel protocol constants."""

@@ -22,8 +22,7 @@ import heapq
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.network.bandwidth import BandwidthSampler
@@ -81,15 +80,20 @@ class SystemConfig:
     servers_per_channel: int = 1
     server_upload_kbps: float = 24_000.0
     trace_loss_rate: float = 0.01
-    #: Exchange-engine backend: ``"object"`` (Peer/Link object graph),
-    #: ``"soa"`` (struct-of-arrays with fully vectorised numerics and
-    #: its own golden fingerprint) or ``"soa-exact"`` (struct-of-arrays,
-    #: bit-identical to ``"object"``).  The engine choice never changes
-    #: the *modelled* system, so it is excluded from the default
-    #: checkpoint config token (``token_exclude``); ``config_token``
-    #: appends an ``#engine=`` suffix for non-default engines instead,
-    #: keeping every pre-existing token byte-identical.
+    #: Exchange-engine backend.  ``"object"`` (the Peer/Link object
+    #: graph) is the only engine; the field stays so callers that pass
+    #: it explicitly keep working.  It never changes the modelled
+    #: system, so it is excluded from the checkpoint config token.
     engine: str = field(default="object", metadata={"token_exclude": True})
+
+    def __post_init__(self) -> None:
+        # Validated here, before any caller creates a trace store or
+        # checkpoint directory for this config.
+        if self.engine != "object":
+            raise ValueError(
+                f"unknown engine backend {self.engine!r} (expected 'object'; "
+                "the struct-of-arrays backends were removed)"
+            )
 
     def population(self) -> PopulationModel:
         """The target-population model this config describes."""
@@ -98,24 +102,6 @@ class SystemConfig:
             weekend_boost=self.weekend_boost,
             flash_crowd=self.flash_crowd,
         )
-
-
-def _engine_class(name: str) -> Callable[..., ExchangeEngine]:
-    """Resolve an engine-backend name to an ExchangeEngine constructor."""
-    if name == "object":
-        return ExchangeEngine
-    if name in ("soa", "soa-exact"):
-        # Imported lazily: repro.soa depends on repro.simulator.
-        from repro.soa.engine import SoAExchangeEngine
-
-        return partial(
-            SoAExchangeEngine,
-            numerics="exact" if name == "soa-exact" else "fast",
-        )
-    raise ValueError(
-        f"unknown engine backend {name!r} "
-        "(expected 'object', 'soa' or 'soa-exact')"
-    )
 
 
 class UUSeeSystem:
@@ -129,11 +115,7 @@ class UUSeeSystem:
         catalogue: ChannelCatalogue | None = None,
         isps: tuple[Isp, ...] = DEFAULT_ISPS,
         obs: AnyObserver = NULL_OBSERVER,
-        engine: str | None = None,
     ) -> None:
-        if engine is not None and engine != config.engine:
-            config = replace(config, engine=engine)
-        engine_cls = _engine_class(config.engine)
         self.config = config
         # Observability only *observes*: it draws nothing from the master
         # RNG (the seed_for() order below is a compatibility contract).
@@ -173,7 +155,7 @@ class UUSeeSystem:
         self.partner_policy = build_policy(
             config.overlay or config.policy.value, seed=config.seed
         )
-        self.exchange = engine_cls(
+        self.exchange = ExchangeEngine(
             peers=self.peers,
             catalogue=self.catalogue,
             tracker=self.tracker,
@@ -229,7 +211,6 @@ class UUSeeSystem:
                     depart_time=float("inf"),
                     is_server=True,
                 )
-                server = self.exchange.adopt_peer(server)
                 server.health = 1.0
                 server.buffer_fill = 1.0
                 self.peers[peer_id] = server
@@ -361,7 +342,6 @@ class UUSeeSystem:
             join_time=join_time,
             depart_time=join_time + duration,
         )
-        peer = self.exchange.adopt_peer(peer)
         peer.next_report = join_time + self.config.protocol.first_report_delay_s
         # Spread maintenance ticks uniformly across the tick period.
         peer.last_tick = join_time - self._rng.uniform(
@@ -384,7 +364,6 @@ class UUSeeSystem:
             if peer is None:
                 continue
             self.tracker.unregister(peer.channel_id, peer_id)
-            self.exchange.release_peer(peer)
             self.total_departures += 1
             # Partners discover the departure lazily at their next tick;
             # the trace keeps the stale entries, exactly as real partner
@@ -409,7 +388,7 @@ class UUSeeSystem:
             if not peer.is_server and self._fault_rng.random() < p_crash
         ]
         for peer_id in victims:
-            self.exchange.release_peer(self.peers.pop(peer_id))
+            del self.peers[peer_id]
             self.total_crashes += 1
 
     # -- control plane ----------------------------------------------------------

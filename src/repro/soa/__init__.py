@@ -1,25 +1,15 @@
-"""Struct-of-arrays exchange backend (``--engine soa``).
+"""Incremental window analytics (``analyze --figure windows``).
 
-``repro.soa`` keeps per-peer and per-partner protocol state in flat
-numpy arrays so the exchange data plane — request scoring, capacity
-allocation, viewer accounting, report emission, estimate maintenance —
-runs as vectorised passes over the whole mesh instead of per-object
-Python loops.  Peers and links are exposed through array-backed view
-objects that subclass the object backend's ``Peer``/``Link``, so the
-``PartnerPolicy`` seam, the tracker/gossip control plane and the
-checkpoint machinery run unchanged — and draw-for-draw identically —
-on either backend (see DESIGN §12 for the bit-compatibility contract).
+``repro.soa`` holds :class:`IncrementalWindowMetrics`, which maintains
+per-window degree histograms, reciprocity and clustering under edge
+deltas between consecutive windows, bit-identical to the full CSR
+kernels, and :func:`observe_incremental`, its drop-in driver mirroring
+:func:`repro.core.timeseries.observe` (see DESIGN §12).
 """
 
-from repro.soa.engine import SoAExchangeEngine
 from repro.soa.incremental import IncrementalWindowMetrics, observe_incremental
-from repro.soa.state import SoALink, SoAPeer, SoAState
 
 __all__ = [
     "IncrementalWindowMetrics",
-    "SoAExchangeEngine",
-    "SoALink",
-    "SoAPeer",
-    "SoAState",
     "observe_incremental",
 ]

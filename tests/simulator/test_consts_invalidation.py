@@ -1,28 +1,21 @@
 """Regression: ``_consts`` caches must be invalidated on config change.
 
-The exchange engines cache per-channel derived constants (request cap,
-demand budget, link floors) and — in the SoA backend — mirror the
-channel rate into a per-slot array.  Changing a channel's rate
-mid-campaign without calling ``invalidate_channel_consts`` leaves the
-engine allocating against stale demand; these tests pin both the hazard
-(the cache really is stale until invalidated) and the fix (invalidation
-refreshes the scalar cache *and* the SoA per-slot copies).
+The exchange engine caches per-channel derived constants (request cap,
+demand budget, link floors).  Changing a channel's rate mid-campaign
+without calling ``invalidate_channel_consts`` leaves the engine
+allocating against stale demand; these tests pin both the hazard (the
+cache really is stale until invalidated) and the fix (invalidation
+refreshes the cache).
 """
 
 import dataclasses
 
-import pytest
-
 from repro.simulator import SystemConfig, UUSeeSystem
 from repro.traces import InMemoryTraceStore
 
-ENGINES = ("object", "soa", "soa-exact")
 
-
-def build_system(engine: str) -> UUSeeSystem:
-    config = SystemConfig(
-        seed=11, base_concurrency=60.0, flash_crowd=None, engine=engine
-    )
+def build_system() -> UUSeeSystem:
+    config = SystemConfig(seed=11, base_concurrency=60.0, flash_crowd=None)
     system = UUSeeSystem(config, InMemoryTraceStore())
     system.run(seconds=3 * 600.0)  # populate peers across channels
     return system
@@ -41,10 +34,9 @@ def bump_rate(catalogue, channel_id: int, factor: float) -> float:
     return new.rate_kbps
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestInvalidateChannelConsts:
-    def test_cache_is_stale_until_invalidated(self, engine):
-        system = build_system(engine)
+    def test_cache_is_stale_until_invalidated(self):
+        system = build_system()
         ex = system.exchange
         old_rate = ex._consts(0).rate_kbps
         new_rate = bump_rate(ex.catalogue, 0, 2.0)
@@ -58,16 +50,16 @@ class TestInvalidateChannelConsts:
         assert consts.demand == ex.config.demand_kbps(new_rate)
         assert consts.request_cap == ex.config.request_cap_kbps(new_rate)
 
-    def test_single_channel_invalidation_spares_others(self, engine):
-        system = build_system(engine)
+    def test_single_channel_invalidation_spares_others(self):
+        system = build_system()
         ex = system.exchange
         other = ex._consts(1)
         bump_rate(ex.catalogue, 0, 2.0)
         ex.invalidate_channel_consts(0)
         assert ex._consts(1) is other  # untouched channel keeps its cache
 
-    def test_invalidate_all(self, engine):
-        system = build_system(engine)
+    def test_invalidate_all(self):
+        system = build_system()
         ex = system.exchange
         ex._consts(0), ex._consts(1)
         new0 = bump_rate(ex.catalogue, 0, 2.0)
@@ -76,24 +68,3 @@ class TestInvalidateChannelConsts:
         assert ex._consts(0).rate_kbps == new0
         assert ex._consts(1).rate_kbps == new1
 
-
-@pytest.mark.parametrize("engine", ("soa", "soa-exact"))
-def test_soa_refreshes_per_slot_rates(engine):
-    system = build_system(engine)
-    ex = system.exchange
-    st = ex.state
-    on_channel = [p for p in system.peers.values() if p.channel_id == 0]
-    off_channel = [p for p in system.peers.values() if p.channel_id != 0]
-    assert on_channel, "scenario must populate channel 0"
-    assert off_channel, "scenario must populate other channels"
-
-    new_rate = bump_rate(ex.catalogue, 0, 2.0)
-    stale = [p for p in on_channel if st.p_rate[p.slot] != new_rate]
-    assert stale, "per-slot rates should be stale before invalidation"
-
-    before_off = {p.peer_id: st.p_rate[p.slot] for p in off_channel}
-    ex.invalidate_channel_consts(0)
-    for p in on_channel:
-        assert st.p_rate[p.slot] == new_rate
-    for p in off_channel:
-        assert st.p_rate[p.slot] == before_off[p.peer_id]

@@ -27,6 +27,7 @@ from repro.simulator import (
     UUSeeSystem,
     load_checkpoint,
     restore_into,
+    snapshot_system,
 )
 from repro.traces import SegmentedTraceReader, SegmentedTraceStore
 
@@ -255,6 +256,25 @@ class TestRunCampaign:
         )
         with pytest.raises(CheckpointError, match="different configuration"):
             restore_into(other, state)
+        store.close()
+
+    def test_bad_engine_leaves_no_campaign_behind(self, tmp_path):
+        trace_dir = tmp_path / "d"
+        with pytest.raises(ValueError, match="engine"):
+            run_campaign(trace_dir, days=0.01, base_concurrency=20,
+                         engine="vectorized")
+        assert not trace_dir.exists() or not any(trace_dir.iterdir())
+        result = run_campaign(trace_dir, days=0.01, base_concurrency=20)
+        assert result.rounds_completed > 0
+
+    def test_checkpoint_from_removed_engine_is_refused(self, tmp_path):
+        system, _ = run_uninterrupted(tmp_path / "a", rounds=2)
+        state = snapshot_system(system)
+        assert state["engine"] == "object"
+        state["engine"] = "soa"
+        store = SegmentedTraceStore(tmp_path / "b")
+        with pytest.raises(CheckpointError, match="removed"):
+            restore_into(UUSeeSystem(make_config(), store), state)
         store.close()
 
 

@@ -145,3 +145,9 @@ class TestSystemRun:
         protocol = ProtocolConfig(round_seconds=300.0)
         system, store = run_system(hours=3, protocol=protocol)
         assert len(system.round_stats) == 3 * 3600 / 300
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "soa", "soa-exact"])
+def test_unknown_engine_rejected(engine):
+    with pytest.raises(ValueError, match="engine"):
+        SystemConfig(seed=1, base_concurrency=30.0, engine=engine)
