@@ -20,9 +20,8 @@ import argparse
 import time
 from pathlib import Path
 
-from repro.cli import _ANALYZERS  # the per-figure renderers
+from repro.cli import main as repro_cli
 from repro.core.experiments import run_simulation_to_trace
-from repro.traces import TraceReader
 from repro.workloads import presets
 
 
@@ -54,15 +53,10 @@ def main() -> None:
     )
     print(f"simulation finished in {time.time() - t0:.0f}s")
 
-    trace = TraceReader(trace_path)
+    # Every figure from one pass over the trace; a figure the trace is
+    # too short for prints "skipped (...)" — run with more days.
     csv_dir = args.out_dir / "csv"
-    csv_dir.mkdir(exist_ok=True)
-    for fig, render in _ANALYZERS.items():
-        print(f"\n{'=' * 72}\nRegenerating {fig} ...\n")
-        try:
-            render(trace, csv_dir)
-        except ValueError as exc:
-            print(f"{fig}: skipped ({exc}) — run with more days")
+    repro_cli(["analyze", "--trace", str(trace_path), "--csv-dir", str(csv_dir)])
     print(f"\nAll figure series written under {csv_dir}/")
 
 

@@ -51,6 +51,7 @@ from repro.core.report import (
     format_trace_health,
     write_csv,
 )
+from repro.core.timeseries import sample_trace
 from repro.obs.exporters import create_observer, finalize_observer
 from repro.obs.summarize import render_summary
 from repro.overlay import PolicyError, available_policies
@@ -58,7 +59,7 @@ from repro.qa.cli import add_qa_arguments, run_qa
 from repro.simulator.checkpoint import CheckpointError
 from repro.simulator.protocol import SelectionPolicy
 from repro.traces.segments import SegmentedTraceReader
-from repro.traces.store import TolerantTraceReader, TraceReader
+from repro.traces.store import TolerantTraceReader, TraceFormatError, TraceReader
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -681,8 +682,7 @@ def _open_trace(path: Path, *, tolerant: bool):
     return TolerantTraceReader(path) if tolerant else TraceReader(path)
 
 
-def _analyze_fig1(trace, csv_dir, obs, workers=1):
-    result = ex.fig1_scale(trace, workers=workers, obs=obs)
+def _render_fig1(csv_dir, result):
     print(format_series(result.series, ["total", "stable"], title="Fig. 1(A) simultaneous peers"))
     print()
     print(format_table(["day", "total IPs", "stable IPs"], result.daily, title="Fig. 1(B) daily distinct IPs"))
@@ -700,8 +700,7 @@ def _analyze_fig1(trace, csv_dir, obs, workers=1):
     }
 
 
-def _analyze_fig2(trace, csv_dir, obs, workers=1):
-    shares = ex.fig2_isp_shares(trace, workers=workers, obs=obs)
+def _render_fig2(csv_dir, shares):
     rows = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
     print(format_table(["ISP", "share"], rows, title="Fig. 2 ISP shares"))
     if csv_dir:
@@ -709,8 +708,7 @@ def _analyze_fig2(trace, csv_dir, obs, workers=1):
     return {"shares": dict(rows)}
 
 
-def _analyze_fig3(trace, csv_dir, obs, workers=1):
-    result = ex.fig3_streaming_quality(trace, workers=workers, obs=obs)
+def _render_fig3(csv_dir, result):
     print(format_series(result.series, list(result.channels), title="Fig. 3 streaming quality"))
     for name in result.channels:
         print(f"mean {name}: {result.mean_quality(name):.3f} (paper: ~0.75)")
@@ -727,11 +725,7 @@ def _analyze_fig3(trace, csv_dir, obs, workers=1):
     }
 
 
-def _analyze_fig4(trace, csv_dir, obs, workers=1):
-    # Fig. 4 reads four specific instants from one streaming pass; there
-    # is nothing to fan out, so it always runs serially.
-    del workers
-    result = ex.fig4_degree_distributions(trace, obs=obs)
+def _render_fig4(csv_dir, result):
     payload = {}
     for label, kinds in result.distributions.items():
         rows = [
@@ -755,8 +749,7 @@ def _analyze_fig4(trace, csv_dir, obs, workers=1):
     return {"distributions": payload}
 
 
-def _analyze_fig5(trace, csv_dir, obs, workers=1):
-    result = ex.fig5_degree_evolution(trace, workers=workers, obs=obs)
+def _render_fig5(csv_dir, result):
     rows = [
         [t / 3600.0, d.mean_partners, d.mean_indegree, d.mean_outdegree]
         for t, d in zip(result.series.times, result.series.values.get("degrees", ()))
@@ -767,8 +760,7 @@ def _analyze_fig5(trace, csv_dir, obs, workers=1):
     return {"columns": ["t_hours", "partners", "indegree", "outdegree"], "rows": rows}
 
 
-def _analyze_fig6(trace, csv_dir, obs, workers=1):
-    result = ex.fig6_intra_isp_degrees(trace, workers=workers, obs=obs)
+def _render_fig6(csv_dir, result):
     rows = [
         [t / 3600.0, v.indegree_fraction, v.outdegree_fraction]
         for t, v in zip(result.series.times, result.series.values.get("intra", ()))
@@ -784,11 +776,10 @@ def _analyze_fig6(trace, csv_dir, obs, workers=1):
     }
 
 
-def _analyze_fig7(trace, csv_dir, obs, workers=1):
+def _render_fig7(csv_dir, *results):
     payload = {}
-    for isp in (None, "China Netcom"):
-        result = ex.fig7_small_world(trace, isp=isp, workers=workers, obs=obs)
-        tag = isp or "global"
+    for result in results:
+        tag = result.isp or "global"
         rows = [
             [t / 3600.0, m.clustering, m.random_clustering, m.path_length, m.random_path_length]
             for t, m in zip(result.series.times, result.series.values.get("sw", ()))
@@ -811,8 +802,7 @@ def _analyze_fig7(trace, csv_dir, obs, workers=1):
     return payload
 
 
-def _analyze_fig8(trace, csv_dir, obs, workers=1):
-    result = ex.fig8_reciprocity(trace, workers=workers, obs=obs)
+def _render_fig8(csv_dir, result):
     rows = [
         [t / 3600.0, m.all_links, m.intra_isp, m.inter_isp]
         for t, m in zip(result.series.times, result.series.values.get("rho", ()))
@@ -860,15 +850,20 @@ def _analyze_windows(trace, csv_dir, obs, workers=1, analytics="incremental"):
     }
 
 
-_ANALYZERS = {
-    "fig1": _analyze_fig1,
-    "fig2": _analyze_fig2,
-    "fig3": _analyze_fig3,
-    "fig4": _analyze_fig4,
-    "fig5": _analyze_fig5,
-    "fig6": _analyze_fig6,
-    "fig7": _analyze_fig7,
-    "fig8": _analyze_fig8,
+#: Per figure: the plans it samples (Fig. 7 charts the whole stable-peer
+#: graph and China Netcom's subgraph) and the renderer of their results.
+_FIGURES = {
+    "fig1": (lambda: [ex.fig1_plan()], _render_fig1),
+    "fig2": (lambda: [ex.fig2_plan()], _render_fig2),
+    "fig3": (lambda: [ex.fig3_plan()], _render_fig3),
+    "fig4": (lambda: [ex.fig4_plan()], _render_fig4),
+    "fig5": (lambda: [ex.fig5_plan()], _render_fig5),
+    "fig6": (lambda: [ex.fig6_plan()], _render_fig6),
+    "fig7": (
+        lambda: [ex.fig7_plan(), ex.fig7_plan(isp="China Netcom")],
+        _render_fig7,
+    ),
+    "fig8": (lambda: [ex.fig8_plan()], _render_fig8),
 }
 
 
@@ -947,6 +942,23 @@ def _print_campaign_health(trace_path: Path) -> None:
 def _run_figures(
     trace, figures, csv_dir, obs, workers=1, analytics="incremental"
 ) -> dict[str, object]:
+    """Chart ``figures``: every paper figure from one shared trace pass.
+
+    A figure whose result cannot be made (Fig. 4 on a trace too short
+    for its instants) is skipped; a strict read error aborts the pass.
+    """
+    plans = {
+        (fig, i): plan
+        for fig in figures
+        if fig != "windows"
+        for i, plan in enumerate(_FIGURES[fig][0]())
+    }
+    series = sample_trace(
+        trace,
+        {key: plan.sampling for key, plan in plans.items()},
+        workers=workers,
+        obs=obs,
+    ) if plans else {}
     payloads: dict[str, object] = {}
     for fig in figures:
         try:
@@ -955,7 +967,14 @@ def _run_figures(
                     trace, csv_dir, obs, workers, analytics
                 )
             else:
-                payloads[fig] = _ANALYZERS[fig](trace, csv_dir, obs, workers)
+                results = [
+                    plan.finish(series[key])
+                    for key, plan in plans.items()
+                    if key[0] == fig
+                ]
+                payloads[fig] = _FIGURES[fig][1](csv_dir, *results)
+        except TraceFormatError:
+            raise
         except ValueError as exc:
             payloads[fig] = {"skipped": str(exc)}
             print(f"{fig}: skipped ({exc})")
@@ -967,13 +986,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.trace.exists():
         print(f"error: no such trace: {args.trace}", file=sys.stderr)
         return 2
-    if args.csv_dir:
-        args.csv_dir.mkdir(parents=True, exist_ok=True)
-    trace = _open_trace(args.trace, tolerant=args.tolerant)
-    figures = FIGURES if args.figure == "all" else (args.figure,)
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
+    trace = _open_trace(args.trace, tolerant=args.tolerant)
+    figures = FIGURES if args.figure == "all" else (args.figure,)
+    if args.csv_dir:
+        args.csv_dir.mkdir(parents=True, exist_ok=True)
     obs = create_observer(args.obs_dir)
     try:
         if args.json:
@@ -997,6 +1016,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if args.tolerant:
                 print(format_trace_health(trace.health, title=f"trace health {args.trace}"))
             _print_campaign_health(args.trace)
+    except TraceFormatError as exc:
+        print(
+            f"error: {exc}\n(--tolerant skips and counts damaged records)",
+            file=sys.stderr,
+        )
+        return 2
     finally:
         if args.obs_dir is not None:
             finalize_observer(obs, args.obs_dir)

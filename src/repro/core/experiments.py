@@ -2,7 +2,11 @@
 
 Each ``figN_*`` function turns a trace (any re-iterable of reports, e.g.
 :class:`repro.traces.TraceReader`) into exactly the series or
-distributions the corresponding paper figure plots.
+distributions the corresponding paper figure plots.  Each is a thin
+wrapper over its ``figN_plan``: a :class:`FigurePlan` that says what
+the figure samples and how it finishes, so several figures can share
+one pass over the trace (``repro analyze --figure all`` charts all of
+them from one read).
 ``run_simulation_to_trace`` produces such traces from the simulator at a
 chosen scale; benchmarks and examples share it.
 """
@@ -15,17 +19,17 @@ from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Generic, TypeVar, cast
 
 if TYPE_CHECKING:
     from repro.ingest.client import ReportClient
 
 from repro.core.metrics import (
+    DailyIpTally,
     DegreeSummary,
     IntraIspDegrees,
     ReciprocityMetrics,
     average_degrees,
-    daily_distinct_ips,
     degree_distributions,
     intra_isp_degree_fractions,
     isp_shares,
@@ -35,7 +39,13 @@ from repro.core.metrics import (
     streaming_quality,
 )
 from repro.core.snapshots import TopologySnapshot, build_snapshot
-from repro.core.timeseries import MetricFn, SnapshotSeries, observe
+from repro.core.timeseries import (
+    MetricFn,
+    Sampling,
+    SnapshotSeries,
+    observe,
+    sample_trace,
+)
 from repro.graph.degree import DegreeDistribution
 from repro.ioutil import atomic_write_bytes
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
@@ -444,6 +454,44 @@ def load_campaign_health(trace_dir: str | Path) -> dict[str, object] | None:
     return _read_health_file(trace_dir / CAMPAIGN_HEALTH_PREV_NAME)
 
 
+# ------------------------------------------------------------ figure plans
+
+R = TypeVar("R")
+
+
+@dataclass(frozen=True)
+class FigurePlan(Generic[R]):
+    """One figure, split in two: what it samples, and what it makes of it.
+
+    ``sampling`` says which windows and metrics the figure needs from a
+    pass over the trace; ``finish`` turns the sampled series into the
+    figure's result.  Any number of plans share one pass through
+    :func:`~repro.core.timeseries.sample_trace`.  A plan is single-use:
+    its sampling may tally into state that ``finish`` reads.
+    """
+
+    sampling: Sampling
+    finish: Callable[[SnapshotSeries], R]
+
+    def chart(
+        self,
+        trace: Iterable[PeerReport],
+        *,
+        window_seconds: float = 600.0,
+        workers: int = 1,
+        obs: AnyObserver = NULL_OBSERVER,
+    ) -> R:
+        """This figure alone, from one pass over ``trace``."""
+        series = sample_trace(
+            trace,
+            {None: self.sampling},
+            window_seconds=window_seconds,
+            workers=workers,
+            obs=obs,
+        )
+        return self.finish(series[None])
+
+
 # ------------------------------------------------------------------ Fig. 1
 
 
@@ -498,6 +546,19 @@ def _snapshot_num_stable(snapshot: TopologySnapshot) -> int:
     return snapshot.num_stable
 
 
+def fig1_plan(*, observe_every: float = 3_600.0) -> FigurePlan[Fig1Result]:
+    """Fig. 1: peer counts per sampled window, daily IPs from every report."""
+    tally = DailyIpTally()
+    return FigurePlan(
+        Sampling(
+            {"total": _snapshot_num_total, "stable": _snapshot_num_stable},
+            every=observe_every,
+            on_report=tally.add,
+        ),
+        lambda series: Fig1Result(series=series, daily=tally.rows()),
+    )
+
+
 def fig1_scale(
     trace: Iterable[PeerReport],
     *,
@@ -507,22 +568,36 @@ def fig1_scale(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig1Result:
     """Fig. 1: simultaneous peer counts and daily distinct IPs."""
-    series = observe(
-        trace,
-        {
-            "total": _snapshot_num_total,
-            "stable": _snapshot_num_stable,
-        },
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        workers=workers,
-        obs=obs,
+    return fig1_plan(observe_every=observe_every).chart(
+        trace, window_seconds=window_seconds, workers=workers, obs=obs
     )
-    daily = daily_distinct_ips(trace)
-    return Fig1Result(series=series, daily=daily)
 
 
 # ------------------------------------------------------------------ Fig. 2
+
+
+def fig2_plan(
+    db: IspDatabase | None = None, *, observe_every: float = 6 * SECONDS_PER_HOUR
+) -> FigurePlan[dict[str, float]]:
+    """Fig. 2: ISP shares per sampled window, averaged."""
+    db = db or build_default_database()
+    return FigurePlan(
+        Sampling({"shares": partial(isp_shares, db=db)}, every=observe_every),
+        _mean_shares,
+    )
+
+
+def _mean_shares(series: SnapshotSeries) -> dict[str, float]:
+    totals: dict[str, float] = {}
+    count = 0
+    # A trace shorter than observe_every yields no sampled windows at all.
+    for shares in series.values.get("shares", ()):
+        if not shares:
+            continue
+        count += 1
+        for name, value in shares.items():
+            totals[name] = totals.get(name, 0.0) + value
+    return {name: value / count for name, value in totals.items()} if count else {}
 
 
 def fig2_isp_shares(
@@ -535,25 +610,9 @@ def fig2_isp_shares(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> dict[str, float]:
     """Fig. 2: peer shares per ISP, averaged over sampled snapshots."""
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"shares": partial(isp_shares, db=db)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        workers=workers,
-        obs=obs,
+    return fig2_plan(db, observe_every=observe_every).chart(
+        trace, window_seconds=window_seconds, workers=workers, obs=obs
     )
-    totals: dict[str, float] = {}
-    count = 0
-    # A trace shorter than observe_every yields no sampled windows at all.
-    for shares in series.values.get("shares", ()):
-        if not shares:
-            continue
-        count += 1
-        for name, value in shares.items():
-            totals[name] = totals.get(name, 0.0) + value
-    return {name: value / count for name, value in totals.items()} if count else {}
 
 
 # ------------------------------------------------------------------ Fig. 3
@@ -584,6 +643,28 @@ class Fig3Result:
         return self.series.column(channel)[best_idx]
 
 
+def fig3_plan(
+    *,
+    channels: dict[str, int] | None = None,
+    stream_rate_kbps: float = 400.0,
+    observe_every: float = 3_600.0,
+) -> FigurePlan[Fig3Result]:
+    """Fig. 3: each channel's satisfied fraction per sampled window."""
+    chosen = channels or {"CCTV1": 0, "CCTV4": 1}
+    metrics: dict[str, MetricFn] = {
+        name: partial(
+            streaming_quality,
+            channel_id=cid,
+            stream_rate_kbps=stream_rate_kbps,
+        )
+        for name, cid in chosen.items()
+    }
+    return FigurePlan(
+        Sampling(metrics, every=observe_every),
+        lambda series: Fig3Result(series=series, channels=chosen),
+    )
+
+
 def fig3_streaming_quality(
     trace: Iterable[PeerReport],
     *,
@@ -595,24 +676,12 @@ def fig3_streaming_quality(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig3Result:
     """Fig. 3: fraction of peers with receiving rate >= 90% of the rate."""
-    channels = channels or {"CCTV1": 0, "CCTV4": 1}
-    metrics: dict[str, MetricFn] = {
-        name: partial(
-            streaming_quality,
-            channel_id=cid,
-            stream_rate_kbps=stream_rate_kbps,
-        )
-        for name, cid in channels.items()
-    }
-    series = observe(
-        trace,
-        metrics,
-        window_seconds=window_seconds,
+    plan = fig3_plan(
+        channels=channels,
+        stream_rate_kbps=stream_rate_kbps,
         observe_every=observe_every,
-        workers=workers,
-        obs=obs,
     )
-    return Fig3Result(series=series, channels=channels)
+    return plan.chart(trace, window_seconds=window_seconds, workers=workers, obs=obs)
 
 
 # ------------------------------------------------------------------ Fig. 4
@@ -629,6 +698,36 @@ class Fig4Result:
         return self.distributions[label][kind]
 
 
+def fig4_plan(
+    *,
+    snapshot_times: dict[str, float] | None = None,
+    window_seconds: float = 600.0,
+) -> FigurePlan[Fig4Result]:
+    """Fig. 4: degree distributions of the windows holding fixed instants.
+
+    ``window_seconds`` must match the pass the plan is sampled in.
+    Finishing raises ``ValueError`` when the trace holds no window for
+    some instant.
+    """
+    wanted = dict(snapshot_times or FIG4_SNAPSHOT_TIMES)
+
+    def finish(series: SnapshotSeries) -> Fig4Result:
+        out: dict[str, dict[str, DegreeDistribution]] = {}
+        for window_start, row in series.rows():
+            for label, t in wanted.items():
+                if label not in out and window_start <= t < window_start + window_seconds:
+                    out[label] = cast("dict[str, DegreeDistribution]", row["degrees"])
+        missing = set(wanted) - set(out)
+        if missing:
+            raise ValueError(f"trace too short for snapshots: {sorted(missing)}")
+        return Fig4Result(distributions=out)
+
+    return FigurePlan(
+        Sampling({"degrees": degree_distributions}, instants=tuple(wanted.values())),
+        finish,
+    )
+
+
 def fig4_degree_distributions(
     trace: Iterable[PeerReport],
     *,
@@ -637,26 +736,8 @@ def fig4_degree_distributions(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig4Result:
     """Fig. 4: partner/in/out degree distributions at selected instants."""
-    times = snapshot_times or FIG4_SNAPSHOT_TIMES
-    wanted = {label: t for label, t in times.items()}
-    out: dict[str, dict[str, DegreeDistribution]] = {}
-    for window_start, window_reports in iter_windows(trace, window_seconds):
-        for label, t in wanted.items():
-            if label in out:
-                continue
-            if window_start <= t < window_start + window_seconds:
-                with obs.span("analytics.snapshot"):
-                    snapshot = build_snapshot(
-                        window_reports, time=window_start, window_seconds=window_seconds
-                    )
-                with obs.span("analytics.metric.degrees"):
-                    out[label] = degree_distributions(snapshot)
-        if len(out) == len(wanted):
-            break
-    missing = set(wanted) - set(out)
-    if missing:
-        raise ValueError(f"trace too short for snapshots: {sorted(missing)}")
-    return Fig4Result(distributions=out)
+    plan = fig4_plan(snapshot_times=snapshot_times, window_seconds=window_seconds)
+    return plan.chart(trace, window_seconds=window_seconds, obs=obs)
 
 
 # ------------------------------------------------------------------ Fig. 5
@@ -691,6 +772,13 @@ class Fig5Result:
         return (min(vals), max(vals)) if vals else (0.0, 0.0)
 
 
+def fig5_plan(*, observe_every: float = 3_600.0) -> FigurePlan[Fig5Result]:
+    """Fig. 5: mean degrees per sampled window."""
+    return FigurePlan(
+        Sampling({"degrees": average_degrees}, every=observe_every), Fig5Result
+    )
+
+
 def fig5_degree_evolution(
     trace: Iterable[PeerReport],
     *,
@@ -700,15 +788,9 @@ def fig5_degree_evolution(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig5Result:
     """Fig. 5: evolution of mean partner count and active in/outdegree."""
-    series = observe(
-        trace,
-        {"degrees": average_degrees},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        workers=workers,
-        obs=obs,
+    return fig5_plan(observe_every=observe_every).chart(
+        trace, window_seconds=window_seconds, workers=workers, obs=obs
     )
-    return Fig5Result(series=series)
 
 
 # ------------------------------------------------------------------ Fig. 6
@@ -736,6 +818,22 @@ class Fig6Result:
         )
 
 
+def fig6_plan(
+    db: IspDatabase | None = None, *, observe_every: float = 3_600.0
+) -> FigurePlan[Fig6Result]:
+    """Fig. 6: intra-ISP degree fractions per sampled window."""
+    isps = db or build_default_database()
+    return FigurePlan(
+        Sampling(
+            {"intra": partial(intra_isp_degree_fractions, db=isps)},
+            every=observe_every,
+        ),
+        lambda series: Fig6Result(
+            series=series, random_baseline=random_intra_isp_baseline(isps)
+        ),
+    )
+
+
 def fig6_intra_isp_degrees(
     trace: Iterable[PeerReport],
     db: IspDatabase | None = None,
@@ -746,16 +844,9 @@ def fig6_intra_isp_degrees(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig6Result:
     """Fig. 6: average intra-ISP proportion of active degrees over time."""
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"intra": partial(intra_isp_degree_fractions, db=db)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        workers=workers,
-        obs=obs,
+    return fig6_plan(db, observe_every=observe_every).chart(
+        trace, window_seconds=window_seconds, workers=workers, obs=obs
     )
-    return Fig6Result(series=series, random_baseline=random_intra_isp_baseline(db))
 
 
 # ------------------------------------------------------------------ Fig. 7
@@ -792,6 +883,24 @@ class Fig7Result:
         return sum(vals) / len(vals) if vals else 0.0
 
 
+def fig7_plan(
+    *,
+    isp: str | None = None,
+    db: IspDatabase | None = None,
+    observe_every: float = 6 * SECONDS_PER_HOUR,
+    seed: int = 0,
+) -> FigurePlan[Fig7Result]:
+    """Fig. 7: small-world metrics per sampled window (one ISP's, if set)."""
+    db = db or build_default_database()
+    return FigurePlan(
+        Sampling(
+            {"sw": partial(small_world, isp=isp, db=db, seed=seed)},
+            every=observe_every,
+        ),
+        lambda series: Fig7Result(series=series, isp=isp),
+    )
+
+
 def fig7_small_world(
     trace: Iterable[PeerReport],
     *,
@@ -807,16 +916,8 @@ def fig7_small_world(
 
     Pass ``isp='China Netcom'`` for the Fig. 7(B) ISP subgraph variant.
     """
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"sw": partial(small_world, isp=isp, db=db, seed=seed)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        workers=workers,
-        obs=obs,
-    )
-    return Fig7Result(series=series, isp=isp)
+    plan = fig7_plan(isp=isp, db=db, observe_every=observe_every, seed=seed)
+    return plan.chart(trace, window_seconds=window_seconds, workers=workers, obs=obs)
 
 
 # ------------------------------------------------------------------ Fig. 8
@@ -850,6 +951,17 @@ class Fig8Result:
         )
 
 
+def fig8_plan(
+    db: IspDatabase | None = None, *, observe_every: float = 3_600.0
+) -> FigurePlan[Fig8Result]:
+    """Fig. 8: reciprocity (all, intra-, inter-ISP) per sampled window."""
+    db = db or build_default_database()
+    return FigurePlan(
+        Sampling({"rho": partial(reciprocity_metrics, db=db)}, every=observe_every),
+        Fig8Result,
+    )
+
+
 def fig8_reciprocity(
     trace: Iterable[PeerReport],
     db: IspDatabase | None = None,
@@ -860,16 +972,9 @@ def fig8_reciprocity(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig8Result:
     """Fig. 8: Garlaschelli-Loffredo reciprocity, global and ISP-split."""
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"rho": partial(reciprocity_metrics, db=db)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        workers=workers,
-        obs=obs,
+    return fig8_plan(db, observe_every=observe_every).chart(
+        trace, window_seconds=window_seconds, workers=workers, obs=obs
     )
-    return Fig8Result(series=series)
 
 
 # ------------------------------------------- windowed structure series

@@ -35,18 +35,39 @@ def daily_distinct_ips(
     'Stable' IPs reported at least once that day; 'total' additionally
     counts every IP appearing in any partner list — Fig. 1(B).
     """
-    total_by_day: dict[int, set[int]] = defaultdict(set)
-    stable_by_day: dict[int, set[int]] = defaultdict(set)
+    tally = DailyIpTally(seconds_per_day=seconds_per_day)
     for report in reports:
-        day = int(report.time // seconds_per_day)
-        stable_by_day[day].add(report.peer_ip)
-        total_by_day[day].add(report.peer_ip)
+        tally.add(report)
+    return tally.rows()
+
+
+class DailyIpTally:
+    """:func:`daily_distinct_ips` fed one report at a time.
+
+    Lets a pass that streams the trace for other metrics build Fig. 1(B)
+    on the way, instead of reading the trace a second time.
+    """
+
+    def __init__(self, *, seconds_per_day: float = 86_400.0) -> None:
+        self.seconds_per_day = seconds_per_day
+        self._total_by_day: dict[int, set[int]] = defaultdict(set)
+        self._stable_by_day: dict[int, set[int]] = defaultdict(set)
+
+    def add(self, report: PeerReport) -> None:
+        """Count one report's IP and its partners' IPs on its day."""
+        day = int(report.time // self.seconds_per_day)
+        self._stable_by_day[day].add(report.peer_ip)
+        total = self._total_by_day[day]
+        total.add(report.peer_ip)
         for partner in report.partners:
-            total_by_day[day].add(partner.ip)
-    return [
-        (day, len(total_by_day[day]), len(stable_by_day[day]))
-        for day in sorted(total_by_day)
-    ]
+            total.add(partner.ip)
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        """(day index, distinct total IPs, distinct stable IPs), by day."""
+        return [
+            (day, len(self._total_by_day[day]), len(self._stable_by_day[day]))
+            for day in sorted(self._total_by_day)
+        ]
 
 
 # ----------------------------------------------------------------- Fig. 2

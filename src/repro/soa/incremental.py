@@ -364,15 +364,16 @@ def observe_incremental(
         active_threshold=active_threshold, resync_every=resync_every
     )
     series = SnapshotSeries()
-    for window_start, window_reports in iter_windows(
-        reports, window_seconds, start=start
-    ):
-        with obs.span("analytics.incremental_window"):
-            row = state.update(window_reports)
-        if obs.enabled:
-            obs.count("analytics.incremental_windows")
-        offset = window_start - start
-        if (offset % observe_every) > 1e-9:
-            continue
-        series.append(window_start, row)
+    with obs.span("analytics.trace_pass"):
+        for window_start, window_reports in iter_windows(
+            reports, window_seconds, start=start
+        ):
+            with obs.span("analytics.incremental_window"):
+                row = state.update(window_reports)
+            if obs.enabled:
+                obs.count("analytics.incremental_windows")
+            offset = window_start - start
+            if (offset % observe_every) > 1e-9:
+                continue
+            series.append(window_start, row)
     return series

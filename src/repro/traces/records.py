@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,6 @@ class PartnerRecord:
     def to_array(self) -> list[int]:
         """Positional [ip, port, sent, recv] form for compact JSON."""
         return [self.ip, self.port, self.sent_segments, self.recv_segments]
-
-    @classmethod
-    def from_array(cls, arr: list[int]) -> PartnerRecord:
-        if len(arr) != 4:
-            raise ValueError(f"partner record needs 4 fields, got {len(arr)}")
-        return cls(ip=arr[0], port=arr[1], sent_segments=arr[2], recv_segments=arr[3])
 
 
 @dataclass(frozen=True)
@@ -69,6 +64,13 @@ class PeerReport:
     @classmethod
     def from_json(cls, line: str) -> PeerReport:
         obj = json.loads(line)
+        arrays = obj["p"]
+        # Partners are built positionally from their to_array() form:
+        # parsing dominates every read of a trace, and per-partner
+        # keyword dispatch was its hot spot.
+        for arr in arrays:
+            if len(arr) != 4:
+                raise ValueError(f"partner record needs 4 fields, got {len(arr)}")
         return cls(
             time=float(obj["t"]),
             peer_ip=int(obj["ip"]),
@@ -79,7 +81,7 @@ class PeerReport:
             upload_capacity_kbps=float(obj["uc"]),
             recv_rate_kbps=float(obj["rr"]),
             sent_rate_kbps=float(obj["sr"]),
-            partners=tuple(PartnerRecord.from_array(a) for a in obj["p"]),
+            partners=tuple(starmap(PartnerRecord, arrays)),
         )
 
     def is_wellformed(self) -> bool:

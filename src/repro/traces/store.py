@@ -362,12 +362,12 @@ def iter_windows(
     """Group time-ordered reports into consecutive windows.
 
     Yields ``(window_start, reports_in_window)`` for every non-empty
-    window.  In strict mode (default), raises ``ValueError`` if input
-    order regresses across a window boundary (a corrupted or unsorted
-    trace).  With ``tolerant=True`` the stream is first passed through
-    :func:`sanitize` (slack of one window), so bounded reordering is
-    repaired and hopelessly late records are quarantined into
-    ``health`` instead of raising.
+    window.  In strict mode (default), raises :class:`TraceFormatError`
+    (a ``ValueError``) if input order regresses across a window boundary
+    (a corrupted or unsorted trace).  With ``tolerant=True`` the stream
+    is first passed through :func:`sanitize` (slack of one window), so
+    bounded reordering is repaired and hopelessly late records are
+    quarantined into ``health`` instead of raising.
     """
     if window_seconds <= 0:
         raise ValueError("window must be positive")
@@ -382,7 +382,7 @@ def iter_windows(
         if current_start is None:
             current_start = w
         if w < current_start:
-            raise ValueError("trace not time-ordered across windows")
+            raise TraceFormatError("trace not time-ordered across windows")
         if w > current_start:
             if bucket:
                 yield (current_start, bucket)

@@ -1,8 +1,32 @@
 """End-to-end tests for the command-line interface."""
 
+import gzip
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import FIGURES, build_parser, main
+
+
+def trace_lines(path):
+    with gzip.open(path, "rt") as fh:
+        return fh.readlines()
+
+
+def corrupt_copy(trace, tmp_path):
+    """``trace`` as plain JSONL with line 447 cut mid-record."""
+    lines = trace_lines(trace)
+    lines[446] = lines[446][:40] + "\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines))
+    return bad
+
+
+def dirty_copy(trace, tmp_path):
+    """``trace`` with its first line duplicated and its last one torn."""
+    lines = trace_lines(trace)
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_text(lines[0] + "".join(lines[:-1]) + lines[-1][:30])
+    return dirty
 
 
 @pytest.fixture(scope="module")
@@ -128,14 +152,7 @@ class TestInfo:
         assert "no such trace" in capsys.readouterr().err
 
     def test_tolerant_reports_health(self, cli_trace, tmp_path, capsys):
-        # a dirty copy: duplicate one line, truncate the last one
-        import gzip
-
-        lines = gzip.open(cli_trace, "rt").readlines()
-        dirty = tmp_path / "dirty.jsonl"
-        dirty.write_text(
-            lines[0] + lines[0] + "".join(lines[1:-1]) + lines[-1][:30]
-        )
+        dirty = dirty_copy(cli_trace, tmp_path)
         assert main(["info", "--trace", str(dirty), "--tolerant"]) == 0
         out = capsys.readouterr().out
         assert "trace health" in out
@@ -182,6 +199,58 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "Fig. 1(A)" in out
         assert "Fig. 8" in out
+
+    def test_corrupt_trace_aborts_with_tolerant_hint(self, cli_trace, tmp_path, capsys):
+        bad = corrupt_copy(cli_trace, tmp_path)
+        assert main(["analyze", "--trace", str(bad), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("malformed record on line 447") == 1
+        assert "--tolerant" in captured.err
+
+    def test_corrupt_trace_charts_under_tolerant(self, cli_trace, tmp_path, capsys):
+        import json
+
+        bad = corrupt_copy(cli_trace, tmp_path)
+        assert main(["analyze", "--trace", str(bad), "--json", "--tolerant"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        skipped = {fig for fig, payload in doc["figures"].items() if "skipped" in payload}
+        assert skipped == {"fig4"}
+        assert doc["trace_health"]["parse_failures"] == 1
+
+    def test_bad_workers_leaves_no_csv_dir(self, cli_trace, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "analyze", "--trace", str(cli_trace), "--workers", "0",
+                "--csv-dir", str(out),
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerant", [False, True])
+    def test_all_equals_merged_single_figures(self, cli_trace, tmp_path, capsys, tolerant):
+        import json
+
+        trace = dirty_copy(cli_trace, tmp_path) if tolerant else cli_trace
+        extra = ["--tolerant"] if tolerant else []
+
+        def document(figure):
+            argv = ["analyze", "--trace", str(trace), "--figure", figure, "--json"]
+            assert main(argv + extra) == 0
+            return json.loads(capsys.readouterr().out)
+
+        merged = {"figures": {}}
+        for fig in FIGURES:
+            single = document(fig)
+            merged["figures"].update(single.pop("figures"))
+            for key, value in single.items():
+                assert merged.setdefault(key, value) == value
+        assert "skipped" in merged["figures"]["fig4"]
+        if tolerant:
+            assert merged["trace_health"]["duplicates"] == 1
+        assert document("all") == merged
 
 
 class TestObservability:
@@ -249,21 +318,28 @@ class TestObservability:
             "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"
         }
 
-    def test_analyze_workers_byte_identical(self, cli_trace, capsys):
+    @staticmethod
+    def assert_workers_byte_identical(cli_trace, capsys, figure):
         assert main(
             [
-                "analyze", "--trace", str(cli_trace), "--figure", "fig1",
+                "analyze", "--trace", str(cli_trace), "--figure", figure,
                 "--json", "--workers", "1",
             ]
         ) == 0
         serial = capsys.readouterr().out
         assert main(
             [
-                "analyze", "--trace", str(cli_trace), "--figure", "fig1",
+                "analyze", "--trace", str(cli_trace), "--figure", figure,
                 "--json", "--workers", "2",
             ]
         ) == 0
         assert capsys.readouterr().out == serial
+
+    def test_analyze_workers_byte_identical(self, cli_trace, capsys):
+        self.assert_workers_byte_identical(cli_trace, capsys, "fig1")
+
+    def test_analyze_all_workers_byte_identical(self, cli_trace, capsys):
+        self.assert_workers_byte_identical(cli_trace, capsys, "all")
 
     def test_analyze_workers_must_be_positive(self, cli_trace, capsys):
         rc = main(
@@ -286,6 +362,20 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "Analytics timings" in out
         assert "analytics.snapshot" in out
+
+    def test_analyze_all_is_one_trace_pass(self, cli_trace, tmp_path, capsys):
+        import json
+
+        obs_dir = tmp_path / "ana-all"
+        rc = main(["analyze", "--trace", str(cli_trace), "--obs-dir", str(obs_dir)])
+        assert rc == 0
+        capsys.readouterr()
+        metrics = json.loads((obs_dir / "metrics.json").read_text())
+        assert metrics["histograms"]["analytics.trace_pass"]["count"] == 1
+        assert main(["obs", "summarize", str(obs_dir)]) == 0
+        out = capsys.readouterr().out
+        analytics = out[out.index("Analytics timings"):]
+        assert "analytics.trace_pass" in analytics
 
 
 class TestCompareOverlays:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.traces import PartnerRecord, PeerReport
+from repro.traces import PartnerRecord, PeerReport, TraceReader
 
 
 def sample_report(**overrides):
@@ -41,11 +41,25 @@ class TestSerialisation:
 
     def test_partner_array_roundtrip(self):
         p = PartnerRecord(ip=5, port=6, sent_segments=7, recv_segments=8)
-        assert PartnerRecord.from_array(p.to_array()) == p
+        assert p.to_array() == [5, 6, 7, 8]
+        clone = PeerReport.from_json(sample_report(partners=(p,)).to_json())
+        assert clone.partners == (p,)
 
     def test_malformed_partner_array(self):
-        with pytest.raises(ValueError):
-            PartnerRecord.from_array([1, 2, 3])
+        line = sample_report().to_json().replace("[11,20001,15,3]", "[11,20001,15]")
+        with pytest.raises(ValueError, match="4 fields"):
+            PeerReport.from_json(line)
+
+    def test_three_field_partner_array_counted_by_tolerant_reader(self, tmp_path):
+        good = sample_report().to_json()
+        bad = sample_report(time=1300.0).to_json().replace(
+            "[22,20002,0,88]", "[22,20002,0]"
+        )
+        path = tmp_path / "arity.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        reader = TraceReader(path, tolerant=True)
+        assert [r.time for r in reader] == [1234.5]
+        assert reader.health.parse_failures == 1
 
     def test_empty_partner_list(self):
         report = sample_report(partners=())

@@ -9,6 +9,7 @@ from repro.traces import (
     PeerReport,
     TraceHealth,
     TraceReader,
+    TraceFormatError,
     TraceServer,
     TraceStoreClosedError,
     iter_windows,
@@ -166,6 +167,11 @@ class TestIterWindows:
     def test_unsorted_across_windows_rejected(self):
         reports = [report_at(1300.0), report_at(10.0)]
         with pytest.raises(ValueError):
+            list(iter_windows(reports, 600))
+
+    def test_unsorted_across_windows_is_a_format_error(self):
+        reports = [report_at(1300.0), report_at(10.0)]
+        with pytest.raises(TraceFormatError, match="not time-ordered"):
             list(iter_windows(reports, 600))
 
     def test_invalid_window(self):
