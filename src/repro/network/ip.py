@@ -7,8 +7,11 @@ collision-free per-block allocator.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 def parse_ip(text: str) -> int:
@@ -89,7 +92,10 @@ class IpAllocator:
         if not blocks:
             raise ValueError("at least one block required")
         self._blocks = list(blocks)
-        self._total = sum(b.size for b in self._blocks)
+        # Flat index of each block's first address: a flat index maps to
+        # its block by bisection, not by walking the block list.
+        self._starts = list(accumulate((b.size for b in self._blocks), initial=0))
+        self._total = self._starts.pop()
         rng = random.Random(seed)
         self._stride = self._pick_stride(rng)
         self._cursor = rng.randrange(self._total)
@@ -97,19 +103,14 @@ class IpAllocator:
         self._released: list[int] = []
 
     def _pick_stride(self, rng: random.Random) -> int:
-        import math
-
         while True:
             stride = rng.randrange(1, self._total)
             if math.gcd(stride, self._total) == 1:
                 return stride
 
     def _flat_to_address(self, flat: int) -> int:
-        for block in self._blocks:
-            if flat < block.size:
-                return block.address(flat)
-            flat -= block.size
-        raise AssertionError("flat index exceeded pool size")
+        i = bisect_right(self._starts, flat) - 1
+        return self._blocks[i].address(flat - self._starts[i])
 
     @property
     def capacity(self) -> int:

@@ -14,11 +14,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class LinkQuality:
-    """Measured quality of one TCP connection between two peers."""
+class LinkQuality(NamedTuple):
+    """Measured quality of one TCP connection between two peers.
+
+    A named tuple rather than a frozen dataclass: ``connect`` draws one
+    per partnership and unpacks it straight away, so construction and
+    unpacking sit on the per-link hot path.
+    """
 
     rtt_ms: float
     throughput_kbps: float  # per-connection ceiling
@@ -76,8 +81,8 @@ class LatencyModel:
     ) -> LinkQuality:
         """Draw one link's RTT and throughput ceiling."""
         median = self.base_rtt(isp_a, isp_b, a_china=a_china, b_china=b_china)
-        rtt = median * math.exp(self._rng.gauss(0.0, self.rtt_sigma))
-        throughput = self.window_kbits / rtt
-        throughput *= math.exp(self._rng.gauss(0.0, 0.25))
-        throughput = max(self.min_throughput_kbps, throughput)
-        return LinkQuality(rtt_ms=rtt, throughput_kbps=throughput)
+        gauss = self._rng.gauss
+        rtt = median * math.exp(gauss(0.0, self.rtt_sigma))
+        throughput = self.window_kbits / rtt * math.exp(gauss(0.0, 0.25))
+        floor = self.min_throughput_kbps
+        return LinkQuality(rtt, throughput if throughput > floor else floor)

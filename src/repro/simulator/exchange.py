@@ -35,7 +35,7 @@ from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.overlay import PartnerPolicy, build_policy
 from repro.simulator.channel import ChannelCatalogue
 from repro.simulator.failures import FaultPlan, OutageSchedule
-from repro.simulator.peer import Link, Peer
+from repro.simulator.peer import Link, Peer, rtt_penalty
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.tracker import Tracker
 from repro.traces.records import PeerReport
@@ -125,7 +125,7 @@ class ExchangeEngine:
         #: policies timestamp the links they materialise with it.
         self.clock = 0.0
         # links are mutual; last_active is tracked via Link.established_at
-        # updates inside _record_transfer.
+        # updates when run_round credits a transfer.
         # Per-channel derived constants (request cap, demand budget,
         # fresh-link floors) are computed once instead of in every hot
         # call; anything that changes a channel's rate or the protocol
@@ -172,34 +172,21 @@ class ExchangeEngine:
         The callee refuses when its partner list is full (servers have a
         higher ceiling since they exist to accept connections).
         """
-        if a.peer_id == b.peer_id:
+        b_id = b.peer_id
+        a_partners = a.partners
+        if a.peer_id == b_id or b_id in a_partners:
             return False
-        if b.peer_id in a.partners:
-            return False
-        if self.faults.has_link_faults and self.faults.link_blocked(
-            a.isp, b.isp, now
-        ):
+        faults = self.faults
+        if faults.has_link_faults and faults.link_blocked(a.isp, b.isp, now):
             self.obs.count("faults.link_blocked")
             return False  # TCP handshake cannot cross the partition
-        limit_b = self.config.max_partners * (4 if b.is_server else 1)
-        if len(b.partners) >= limit_b:
+        max_partners = self.config.max_partners
+        if len(b.partners) >= max_partners * (4 if b.is_server else 1):
             return False
-        if len(a.partners) >= self.config.max_partners:
+        if len(a_partners) >= max_partners:
             return False
-        quality = self.latency.sample_link(
+        rtt, cap = self.latency.sample_link(
             a.isp, b.isp, a_china=a.is_china, b_china=b.is_china
-        )
-        link_ab = Link(
-            quality.rtt_ms,
-            quality.throughput_kbps,
-            established_at=now,
-            partner_ip=b.ip,
-        )
-        link_ba = Link(
-            quality.rtt_ms,
-            quality.throughput_kbps,
-            established_at=now,
-            partner_ip=a.ip,
         )
         # Conservative initial throughput estimate: a fresh link must rank
         # *below* proven-good links (else the steady inbound-partner churn
@@ -209,14 +196,11 @@ class ExchangeEngine:
         # counts every supplier as contributing at least min_useful, so
         # starting fresh links lower would make peers over-provision past
         # the Fig. 4(B) indegree ceiling.
-        neutral = min(
-            self._consts(a.channel_id).neutral_hi,
-            quality.throughput_kbps * 0.5,
-        )
-        link_ab.est_kbps = neutral
-        link_ba.est_kbps = neutral
-        a.add_partner(b.peer_id, link_ab)
-        b.add_partner(a.peer_id, link_ba)
+        neutral = min(self._consts(a.channel_id).neutral_hi, cap * 0.5)
+        penalty = rtt_penalty(rtt)
+        # The caller end was checked above; the callee keeps its guard.
+        a_partners[b_id] = Link(rtt, cap, neutral, penalty, now, b.ip)
+        b.add_partner(a.peer_id, Link(rtt, cap, neutral, penalty, now, a.ip))
         self.obs.count("exchange.connects")
         return True
 
@@ -306,20 +290,6 @@ class ExchangeEngine:
         return True
 
     # -- supplier selection ---------------------------------------------------
-
-    def _expected_link_rate(self, link: Link, cap_kbps: float) -> float:
-        return min(link.est_kbps, cap_kbps)
-
-    @staticmethod
-    def _rtt_penalty(rtt_ms: float) -> float:
-        """Quadratic RTT penalty: UUSee measures round-trip delay per
-        connection and strongly prefers nearby (in practice intra-ISP)
-        partners; block requests over high-RTT paths also pipeline badly.
-
-        Hot paths read the precomputed ``Link.penalty`` (same formula,
-        fixed at link establishment) instead of calling this.
-        """
-        return 1.0 + (rtt_ms / 60.0) ** 2
 
     def _candidate_score(self, peer: Peer, pid: int, link: Link) -> float:
         score: float = self.partner_policy.candidate_score(peer, pid, link)
@@ -487,12 +457,16 @@ class ExchangeEngine:
         link_faults = self.faults.has_link_faults
         min_useful = cfg.min_useful_link_kbps
         peers = self.peers
-        requests: dict[int, list[tuple[Peer, Link, float]]] = {}
+        segment_seconds = cfg.segment_seconds
+        # supplier id -> (requester, requester's link, request, requester's
+        # segment size in kbit)
+        requests: dict[int, list[tuple[Peer, Link, float, float]]] = {}
         for peer in peers.values():
             if peer.is_server:
                 continue
             consts = self._consts(peer.channel_id)
             cap = consts.request_cap
+            segment_kbit = consts.rate_kbps * segment_seconds
             remaining = consts.demand
             dead: list[int] = []
             supplier_links: list[tuple[float, int, Link]] = []
@@ -520,7 +494,7 @@ class ExchangeEngine:
                 req = min(cap, link.cap_kbps, remaining)
                 if req <= 0.0:
                     continue
-                requests.setdefault(pid, []).append((peer, link, req))
+                requests.setdefault(pid, []).append((peer, link, req, segment_kbit))
                 # Budget against the *measured* delivery estimate (floored
                 # at the useful minimum), not the optimistic request: a
                 # peer whose suppliers under-deliver keeps asking further
@@ -530,8 +504,15 @@ class ExchangeEngine:
                 budget = est if est > min_useful else min_useful
                 remaining -= req if req < budget else budget
 
-        # Pass 2: suppliers allocate capacity, preferring mutual exchangers.
+        # Pass 2: suppliers allocate capacity, preferring mutual exchangers,
+        # and each transfer is credited to both ends of its link: segments
+        # on the counters the next reports carry, the achieved rate into
+        # the requester's selection estimate (EWMA), and 'last active'.
         bonus1 = 1.0 + cfg.reciprocation_bonus
+        smoothing = cfg.estimate_smoothing
+        keep = 1.0 - smoothing
+        degraded = self.faults.has_link_faults and bool(self.faults.degradations)
+        transfers = 0
         received: dict[int, float] = {}
         for supplier_id, reqs in requests.items():
             supplier = peers.get(supplier_id)
@@ -539,14 +520,14 @@ class ExchangeEngine:
                 continue
             supplier_suppliers = supplier.suppliers
             weights: list[float] = []
-            for requester, _, req in reqs:
+            for requester, _, req, _ in reqs:
                 weights.append(
                     req * bonus1
                     if requester.peer_id in supplier_suppliers
                     else req
                 )
             total_weighted = sum(weights)
-            total_requested = sum(req for _, _, req in reqs)
+            total_requested = sum(r[2] for r in reqs)
             if supplier.is_server:
                 # Origin capacity scales with outages/brownouts: 0 while
                 # offline, fractional while degraded, full otherwise.
@@ -562,8 +543,8 @@ class ExchangeEngine:
                 scale = 1.0
             else:
                 scale = capacity / total_weighted if total_weighted else 0.0
-            degraded = self.faults.has_link_faults and bool(self.faults.degradations)
-            for (requester, link, req), weight in zip(reqs, weights):
+            supplier_partners_get = supplier.partners.get
+            for (requester, link, req, segment_kbit), weight in zip(reqs, weights):
                 achieved = req if total_requested <= capacity else min(
                     req, weight * scale
                 )
@@ -573,15 +554,20 @@ class ExchangeEngine:
                     )
                 if achieved <= 0.0:
                     continue
-                self._record_transfer(
-                    supplier, requester, link, achieved, duration, now
-                )
-                stats.transfers += 1
+                segments = achieved * duration / segment_kbit
+                link.recv_segments += segments
+                link.est_kbps = keep * link.est_kbps + smoothing * achieved
+                link.established_at = now
+                requester_id = requester.peer_id
+                supplier_link = supplier_partners_get(requester_id)
+                if supplier_link is not None:
+                    supplier_link.sent_segments += segments
+                    supplier_link.established_at = now
+                transfers += 1
                 sent_total += achieved
-                received[requester.peer_id] = (
-                    received.get(requester.peer_id, 0.0) + achieved
-                )
+                received[requester_id] = received.get(requester_id, 0.0) + achieved
             supplier.sent_rate_kbps = sent_total
+        stats.transfers = transfers
 
         # Suppliers with no requests this round sent nothing.
         for peer in peers.values():
@@ -655,27 +641,6 @@ class ExchangeEngine:
         if supplier.is_server:
             return 1.0
         return 0.30 + 0.70 * supplier.health
-
-    def _record_transfer(
-        self,
-        supplier: Peer,
-        requester: Peer,
-        requester_link: Link,
-        rate_kbps: float,
-        duration: float,
-        now: float,
-    ) -> None:
-        cfg = self.config
-        stream_rate = self._consts(requester.channel_id).rate_kbps
-        segment_kbit = stream_rate * cfg.segment_seconds
-        segments = rate_kbps * duration / segment_kbit
-        requester_link.recv_segments += segments
-        requester_link.observe_throughput(rate_kbps, cfg.estimate_smoothing)
-        requester_link.established_at = now  # carries 'last active' forward
-        supplier_link = supplier.partners.get(requester.peer_id)
-        if supplier_link is not None:
-            supplier_link.sent_segments += segments
-            supplier_link.established_at = now
 
     def _update_depth(self, peer: Peer) -> None:
         best = 64

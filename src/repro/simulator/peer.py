@@ -12,75 +12,90 @@ throughput estimate UUSee's selection uses.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
+
+def rtt_penalty(rtt_ms: float) -> float:
+    """Quadratic RTT selection penalty of a link.
+
+    UUSee measures round-trip delay per connection and strongly prefers
+    nearby (in practice intra-ISP) partners; block requests over
+    high-RTT paths also pipeline badly.  RTT never changes after
+    establishment, so each ``Link`` stores its penalty and the
+    per-round scoring loops pay one attribute read, not an
+    exponentiation.
+    """
+    return 1.0 + (rtt_ms / 60.0) ** 2
+
 
 class Link:
-    """One endpoint's view of a TCP partnership."""
+    """One endpoint's view of a TCP partnership.
 
+    Built positionally: ``connect`` draws the link quality once per
+    partnership and hands both endpoints the same estimate and penalty.
+    The segment counters start at zero; a checkpoint restore passes
+    them back in (see :meth:`__reduce__`).
+    """
+
+    # Same order as the __init__ parameters: __reduce__ pickles the slot
+    # values positionally.
     __slots__ = (
         "rtt_ms",
         "cap_kbps",
-        "est_kbps",
-        "penalty",
-        "sent_segments",
-        "recv_segments",
-        "reported_sent",
-        "reported_recv",
-        "established_at",
+        "est_kbps",  # EWMA throughput estimate UUSee's selection ranks by
+        "penalty",  # rtt_penalty(rtt_ms)
+        "established_at",  # carried forward to 'last active' by transfers
         "partner_ip",
+        "sent_segments",  # cumulative, this endpoint -> partner
+        "recv_segments",  # cumulative, partner -> this endpoint
+        "reported_sent",  # snapshot at last trace report
+        "reported_recv",
     )
 
     def __init__(
         self,
         rtt_ms: float,
         cap_kbps: float,
-        *,
-        established_at: float = 0.0,
-        partner_ip: int = 0,
+        est_kbps: float,
+        penalty: float,
+        established_at: float,
+        partner_ip: int,
+        sent_segments: float = 0.0,
+        recv_segments: float = 0.0,
+        reported_sent: float = 0.0,
+        reported_recv: float = 0.0,
     ) -> None:
         self.rtt_ms = rtt_ms
         self.cap_kbps = cap_kbps
-        self.partner_ip = partner_ip
-        # Initial throughput estimate: optimistic half the ceiling, so new
-        # links get tried; measurement then corrects it.
-        self.est_kbps = cap_kbps * 0.5
-        # Quadratic RTT selection penalty, fixed for the link's lifetime
-        # (RTT never changes after establishment) — precomputed so the
-        # per-round scoring loops pay one attribute read, not an
-        # exponentiation.
-        self.penalty = 1.0 + (rtt_ms / 60.0) ** 2
-        self.sent_segments = 0.0  # cumulative, this endpoint -> partner
-        self.recv_segments = 0.0  # cumulative, partner -> this endpoint
-        self.reported_sent = 0.0  # snapshot at last trace report
-        self.reported_recv = 0.0
+        self.est_kbps = est_kbps
+        self.penalty = penalty
         self.established_at = established_at
+        self.partner_ip = partner_ip
+        self.sent_segments = sent_segments
+        self.recv_segments = recv_segments
+        self.reported_sent = reported_sent
+        self.reported_recv = reported_recv
+
+    def __reduce__(self) -> tuple[type[Link], tuple[float | int, ...]]:
+        # Checkpoints hold every link of the overlay twice; one positional
+        # tuple per link pickles far smaller and faster than the default
+        # slots protocol's per-link dict of slot names.
+        return (Link, _slot_values(self))
 
     def __setstate__(
         self, state: tuple[dict[str, float] | None, dict[str, float]]
     ) -> None:
-        # Checkpoints pickle Links with the default slots protocol; ones
-        # written before the ``penalty`` slot existed lack it, so derive
-        # it from the restored RTT.
+        # Checkpoints written before ``__reduce__`` pickled Links with the
+        # default slots protocol; ones written before the ``penalty`` slot
+        # existed lack it, so derive it from the restored RTT.
         _, slots = state
         for name, value in slots.items():
             setattr(self, name, value)
         if "penalty" not in slots:
-            self.penalty = 1.0 + (self.rtt_ms / 60.0) ** 2
+            self.penalty = rtt_penalty(self.rtt_ms)
 
-    def observe_throughput(self, achieved_kbps: float, smoothing: float) -> None:
-        """Blend a measured per-round rate into the selection estimate."""
-        self.est_kbps = (1.0 - smoothing) * self.est_kbps + smoothing * achieved_kbps
 
-    def unreported_deltas(self) -> tuple[float, float]:
-        """(sent, received) segments since the last trace report."""
-        return (
-            self.sent_segments - self.reported_sent,
-            self.recv_segments - self.reported_recv,
-        )
-
-    def mark_reported(self) -> None:
-        """Roll the reported counters forward to the current totals."""
-        self.reported_sent = self.sent_segments
-        self.reported_recv = self.recv_segments
+_slot_values = attrgetter(*Link.__slots__)
 
 
 class Peer:

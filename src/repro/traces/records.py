@@ -12,11 +12,16 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import starmap
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PartnerRecord:
-    """One partner entry in a report: identity plus segment counters."""
+class PartnerRecord(NamedTuple):
+    """One partner entry in a report: identity plus segment counters.
+
+    A named tuple, not a dataclass: every report carries dozens of
+    these, and a tuple is built and parsed without per-field dispatch.
+    On disk it is the positional ``[ip, port, sent, recv]`` array.
+    """
 
     ip: int
     port: int
@@ -25,7 +30,7 @@ class PartnerRecord:
 
     def to_array(self) -> list[int]:
         """Positional [ip, port, sent, recv] form for compact JSON."""
-        return [self.ip, self.port, self.sent_segments, self.recv_segments]
+        return list(self)
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,10 @@ class PeerReport:
             "uc": round(self.upload_capacity_kbps, 1),
             "rr": round(self.recv_rate_kbps, 1),
             "sr": round(self.sent_rate_kbps, 1),
-            "p": [p.to_array() for p in self.partners],
+            # Plain tuples, not the records themselves: json encodes an
+            # exact tuple in place but copies a tuple subclass to a list
+            # first, so this is the cheapest form with the same bytes.
+            "p": list(map(tuple, self.partners)),
         }
         return json.dumps(obj, separators=(",", ":"))
 

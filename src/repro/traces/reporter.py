@@ -25,16 +25,18 @@ def build_report(peer: Peer, now: float) -> PeerReport:
     """Snapshot ``peer`` into a report and roll its reported counters."""
     partners: list[PartnerRecord] = []
     for pid, link in peer.partners.items():
-        sent_delta, recv_delta = link.unreported_deltas()
+        sent = link.sent_segments
+        recv = link.recv_segments
         partners.append(
             PartnerRecord(
-                ip=link.partner_ip,
-                port=port_for_peer(pid),
-                sent_segments=int(sent_delta),
-                recv_segments=int(recv_delta),
+                link.partner_ip,
+                port_for_peer(pid),
+                int(sent - link.reported_sent),
+                int(recv - link.reported_recv),
             )
         )
-        link.mark_reported()
+        link.reported_sent = sent
+        link.reported_recv = recv
     return PeerReport(
         time=now,
         peer_ip=peer.ip,

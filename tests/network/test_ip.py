@@ -108,6 +108,31 @@ class TestIpAllocator:
         diffs = [abs(b - a) for a, b in zip(first, first[1:])]
         assert max(diffs) > 1  # not handing out consecutive addresses
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_multi_block_sequence_matches_linear_walk(self, seed):
+        # Uneven blocks (16, 4, 32, 1, 8 addresses): allocating the whole
+        # pool steps the cursor across every block boundary and wraps it.
+        texts = ("10.0.0.0/28", "20.0.0.0/30", "30.0.0.0/27", "40.0.0.1/32", "50.0.0.0/29")
+        blocks = [CidrBlock.parse(text) for text in texts]
+
+        def linear_walk(flat):
+            for block in blocks:
+                if flat < block.size:
+                    return block.address(flat)
+                flat -= block.size
+            raise AssertionError("flat index exceeded pool size")
+
+        alloc = IpAllocator(blocks, seed=seed)
+        total = alloc.capacity
+        assert total == 61
+        cursor, stride = alloc._cursor, alloc._stride
+        expected = [linear_walk((cursor + k * stride) % total) for k in range(total)]
+        assert [alloc.allocate() for _ in range(total)] == expected
+        assert sorted(expected) == sorted(b.base + i for b in blocks for i in range(b.size))
+        assert [alloc._flat_to_address(f) for f in range(total)] == [
+            linear_walk(f) for f in range(total)
+        ]
+
     def test_empty_blocks_rejected(self):
         with pytest.raises(ValueError):
             IpAllocator([])

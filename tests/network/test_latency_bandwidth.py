@@ -1,5 +1,7 @@
 """Unit tests for the latency/throughput model and bandwidth sampler."""
 
+import math
+import random
 import statistics
 
 import pytest
@@ -42,6 +44,29 @@ class TestLatencyModel:
         good = LinkQuality(rtt_ms=20.0, throughput_kbps=600.0)
         bad = LinkQuality(rtt_ms=250.0, throughput_kbps=60.0)
         assert good.score() > bad.score()
+
+    def test_link_quality_is_an_immutable_record(self):
+        q = LinkQuality(rtt_ms=50.0, throughput_kbps=300.0)
+        assert q == LinkQuality(50.0, 300.0)
+        assert (q.rtt_ms, q.throughput_kbps) == (50.0, 300.0)
+        assert q.score() == 300.0 / 1.5
+        rtt, throughput = q
+        assert (rtt, throughput) == (50.0, 300.0)
+        with pytest.raises(AttributeError):
+            q.rtt_ms = 10.0
+
+    def test_sample_link_draws_the_tier_model(self):
+        # Bit-exact against the model written out longhand: a lognormal
+        # RTT around the tier median, then a jittered, floored 1/RTT ceiling.
+        model = LatencyModel(seed=9, min_throughput_kbps=60.0)
+        twin = random.Random(9)
+        for isp_b, b_china in [("A", True), ("B", True), ("C", False)] * 40:
+            median = model.base_rtt("A", isp_b, a_china=True, b_china=b_china)
+            rtt = median * math.exp(twin.gauss(0.0, model.rtt_sigma))
+            throughput = model.window_kbits / rtt
+            throughput *= math.exp(twin.gauss(0.0, 0.25))
+            expected = LinkQuality(rtt, max(60.0, throughput))
+            assert model.sample_link("A", isp_b, b_china=b_china) == expected
 
     def test_rtt_jitter_positive(self):
         model = LatencyModel(seed=3)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.network.latency import LatencyModel
+from repro.network.latency import LatencyModel, LinkQuality
 from repro.simulator.channel import Channel, ChannelCatalogue
 from repro.simulator.exchange import ExchangeEngine
-from repro.simulator.peer import Peer
+from repro.simulator.peer import Peer, rtt_penalty
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.tracker import Tracker
 
@@ -98,6 +98,27 @@ class TestConnect:
         ex.connect(a, b, 0.0)
         cap = ex.config.request_cap_kbps(RATE)
         assert a.partners[2].est_kbps <= cap
+
+    @pytest.mark.parametrize(
+        ("cap", "expected"),
+        [
+            (40.0, 20.0),  # half the ceiling
+            (600.0, 36.0),  # clamped to 0.6 * the 60 kbps request cap
+        ],
+    )
+    def test_ends_share_neutral_estimate_and_penalty(self, cap, expected, monkeypatch):
+        peers, _, ex = make_world()
+        monkeypatch.setattr(
+            ex.latency, "sample_link", lambda *a, **k: LinkQuality(30.0, cap)
+        )
+        a = make_peer(peers, 1)
+        b = make_peer(peers, 2)
+        assert ex.connect(a, b, 5.0)
+        for link in (a.partners[2], b.partners[1]):
+            assert (link.rtt_ms, link.cap_kbps) == (30.0, cap)
+            assert link.est_kbps == pytest.approx(expected)
+            assert link.penalty == rtt_penalty(30.0)
+            assert link.established_at == 5.0
 
     def test_disconnect_both_ends(self):
         peers, _, ex = make_world()
@@ -205,6 +226,25 @@ class TestRound:
         assert b.sent_rate_kbps == pytest.approx(a.recv_rate_kbps)
         assert stats.viewers == 2  # both non-servers
         assert a.health > 0.0
+
+    @pytest.mark.parametrize(
+        ("smoothing", "expected"), [(0.5, 60.0), (1.0, 40.0)]
+    )
+    def test_transfer_blends_rate_into_estimate(self, smoothing, expected):
+        peers, _, ex = make_world(config=ProtocolConfig(estimate_smoothing=smoothing))
+        a = make_peer(peers, 1)
+        b = make_peer(peers, 2, upload=10_000.0)
+        ex.connect(a, b, 0.0)
+        a.suppliers = {2}
+        link = a.partners[2]
+        link.cap_kbps = 40.0  # the request, and so the achieved rate
+        link.est_kbps = 80.0
+        ex.run_round(600.0, 600.0)
+        assert link.est_kbps == pytest.approx(expected)
+        segments = 40.0 * 600.0 / (RATE * ex.config.segment_seconds)
+        assert link.recv_segments == pytest.approx(segments)
+        assert b.partners[1].sent_segments == pytest.approx(segments)
+        assert link.established_at == b.partners[1].established_at == 600.0
 
     def test_supplier_capacity_respected(self):
         peers, _, ex = make_world()

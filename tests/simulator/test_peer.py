@@ -1,8 +1,12 @@
 """Unit tests for Peer and Link state."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
-from repro.simulator.peer import Link, Peer
+from repro.simulator.peer import Link, Peer, rtt_penalty
 
 
 def make_peer(peer_id=1, **overrides):
@@ -21,32 +25,78 @@ def make_peer(peer_id=1, **overrides):
     return Peer(peer_id, **fields)
 
 
+def make_link(**overrides):
+    fields = {
+        "rtt_ms": 30.0,
+        "cap_kbps": 600.0,
+        "est_kbps": 240.0,
+        "penalty": rtt_penalty(30.0),
+        "established_at": 12.0,
+        "partner_ip": 42,
+    }
+    fields.update(overrides)
+    return Link(**fields)
+
+
+def slot_values(link):
+    return {name: getattr(link, name) for name in Link.__slots__}
+
+
+def legacy_pickle(link, drop=()):
+    """Pickle ``link`` as checkpoints did before ``Link.__reduce__``: the
+    default slots protocol, ``copyreg.__newobj__`` plus ``(None, slots)``."""
+    slots = {k: v for k, v in slot_values(link).items() if k not in drop}
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is Link:
+                return (copyreg.__newobj__, (Link,), (None, slots))
+            return NotImplemented
+
+    buf = io.BytesIO()
+    LegacyPickler(buf, protocol=2).dump(link)
+    return buf.getvalue()
+
+
 class TestLink:
-    def test_initial_estimate_is_half_capacity(self):
-        link = Link(rtt_ms=30.0, cap_kbps=600.0)
-        assert link.est_kbps == pytest.approx(300.0)
-
-    def test_observe_throughput_ewma(self):
-        link = Link(rtt_ms=30.0, cap_kbps=100.0)
-        link.est_kbps = 80.0
-        link.observe_throughput(40.0, smoothing=0.5)
-        assert link.est_kbps == pytest.approx(60.0)
-        link.observe_throughput(40.0, smoothing=1.0)
-        assert link.est_kbps == pytest.approx(40.0)
-
-    def test_report_deltas(self):
-        link = Link(rtt_ms=30.0, cap_kbps=100.0)
-        link.sent_segments = 25.0
-        link.recv_segments = 13.0
-        assert link.unreported_deltas() == (25.0, 13.0)
-        link.mark_reported()
-        assert link.unreported_deltas() == (0.0, 0.0)
-        link.recv_segments += 7.0
-        assert link.unreported_deltas() == (0.0, 7.0)
-
     def test_partner_ip_recorded(self):
-        link = Link(rtt_ms=1.0, cap_kbps=1.0, partner_ip=42)
+        link = make_link(partner_ip=42)
         assert link.partner_ip == 42
+
+    def test_counters_start_at_zero(self):
+        link = make_link()
+        assert (link.sent_segments, link.recv_segments) == (0.0, 0.0)
+        assert (link.reported_sent, link.reported_recv) == (0.0, 0.0)
+
+    def test_rtt_penalty_is_quadratic(self):
+        assert rtt_penalty(0.0) == 1.0
+        assert rtt_penalty(60.0) == 2.0
+        assert rtt_penalty(120.0) == 5.0
+
+    def test_pickle_roundtrip_keeps_every_slot(self):
+        link = make_link()
+        link.sent_segments, link.recv_segments = 25.5, 13.25
+        link.reported_sent, link.reported_recv = 20.0, 13.0
+        clone = pickle.loads(pickle.dumps(link, protocol=pickle.HIGHEST_PROTOCOL))
+        assert slot_values(clone) == slot_values(link)
+
+    def test_pickle_is_a_positional_tuple(self):
+        func, args = make_link().__reduce__()
+        assert func is Link
+        assert len(args) == len(Link.__slots__) == 10
+        assert isinstance(func(*args), Link)
+
+    @pytest.mark.parametrize("with_penalty", [True, False])
+    def test_legacy_slots_pickle_restores(self, with_penalty):
+        link = make_link(rtt_ms=90.0, penalty=rtt_penalty(90.0))
+        link.sent_segments, link.recv_segments = 7.0, 9.5
+        link.reported_sent, link.reported_recv = 3.0, 4.0
+        blob = legacy_pickle(link, drop=() if with_penalty else ("penalty",))
+        assert b"penalty" in blob if with_penalty else b"penalty" not in blob
+        clone = pickle.loads(blob)
+        assert type(clone) is Link
+        assert slot_values(clone) == slot_values(link)
+        assert clone.penalty == rtt_penalty(90.0)
 
 
 class TestPeer:
@@ -56,7 +106,7 @@ class TestPeer:
 
     def test_add_remove_partner(self):
         peer = make_peer()
-        link = Link(rtt_ms=20.0, cap_kbps=500.0)
+        link = make_link(rtt_ms=20.0, cap_kbps=500.0)
         assert peer.add_partner(2, link)
         assert not peer.add_partner(2, link)  # duplicate
         assert not peer.add_partner(peer.peer_id, link)  # self

@@ -45,6 +45,18 @@ class TestSerialisation:
         clone = PeerReport.from_json(sample_report(partners=(p,)).to_json())
         assert clone.partners == (p,)
 
+    def test_json_line_is_pinned(self):
+        # The encoding every stored trace and golden trace SHA depends on.
+        assert sample_report().to_json() == (
+            '{"t":1234.5,"ip":167772161,"ch":3,"bf":0.75,"pp":420,"dc":2048.0,'
+            '"uc":512.0,"rr":401.5,"sr":120.2,"p":[[11,20001,15,3],[22,20002,0,88]]}'
+        )
+
+    def test_roundtrip_is_equal(self):
+        # every float already at its encoded precision
+        report = sample_report(sent_rate_kbps=120.5)
+        assert PeerReport.from_json(report.to_json()) == report
+
     def test_malformed_partner_array(self):
         line = sample_report().to_json().replace("[11,20001,15,3]", "[11,20001,15]")
         with pytest.raises(ValueError, match="4 fields"):
@@ -65,6 +77,21 @@ class TestSerialisation:
         report = sample_report(partners=())
         clone = PeerReport.from_json(report.to_json())
         assert clone.partners == ()
+
+
+class TestPartnerRecord:
+    def test_keyword_and_positional_construction_agree(self):
+        p = PartnerRecord(ip=5, port=6, sent_segments=7, recv_segments=8)
+        assert p == PartnerRecord(5, 6, 7, 8)
+        assert (p.ip, p.port, p.sent_segments, p.recv_segments) == (5, 6, 7, 8)
+
+    def test_rejects_attribute_assignment(self):
+        p = PartnerRecord(ip=5, port=6, sent_segments=7, recv_segments=8)
+        with pytest.raises(AttributeError):
+            p.sent_segments = 9
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p.sent_segments == 7
 
 
 class TestActiveClassification:
