@@ -4,8 +4,8 @@ The flagship trace reproduces the paper's evaluation setting at ~1/100
 scale: 8 simulated days starting Sunday 2006-10-01 00:00, double-peak
 diurnal load, slight weekend boost, and the mid-autumn-festival flash
 crowd on day 5 (Friday Oct 6) at 9 p.m.  It is simulated once and
-cached under ``benchmarks/.cache/`` keyed by its parameters; delete the
-directory to force a re-run.
+cached as a campaign directory under ``benchmarks/.cache/`` keyed by its
+parameters; delete the directory to force a re-run.
 
 Scale knobs (environment):
   REPRO_BENCH_DAYS  simulated days  (default 8; paper used 14)
@@ -15,14 +15,15 @@ Scale knobs (environment):
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.core.experiments import run_simulation_to_trace
+from repro.core.experiments import run_campaign
 from repro.network import build_default_database
 from repro.simulator.protocol import SelectionPolicy
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 
@@ -49,7 +50,7 @@ HOUR = 3_600.0
 FLASH_PEAK = 5 * DAY + 20.5 * HOUR + 1_800 + 3_600
 
 
-def _cached_trace(name: str, **kwargs) -> TraceReader:
+def _cached_trace(name: str, **kwargs) -> SegmentedTraceReader:
     import dataclasses
     import hashlib
 
@@ -64,17 +65,19 @@ def _cached_trace(name: str, **kwargs) -> TraceReader:
         or hasattr(v, "value")  # enums
     ]
     key = hashlib.sha256(repr(stable).encode()).hexdigest()[:16]
-    path = CACHE_DIR / f"{name}-{key}.jsonl.gz"
+    path = CACHE_DIR / f"{name}-{key}"
     if not path.exists():
-        # staging name keeps the .jsonl.gz suffix so compression is inferred
+        # staged under a temporary name, so an interrupted run never
+        # leaves a partial campaign under the cache key
         tmp = path.with_name("tmp-" + path.name)
-        run_simulation_to_trace(tmp, **kwargs)
+        shutil.rmtree(tmp, ignore_errors=True)
+        run_campaign(tmp, **kwargs)
         tmp.rename(path)
-    return TraceReader(path)
+    return SegmentedTraceReader(path)
 
 
 @pytest.fixture(scope="session")
-def flagship_trace() -> TraceReader:
+def flagship_trace() -> SegmentedTraceReader:
     """The paper's two selected weeks, scaled (see module docstring)."""
     return _cached_trace(
         "flagship",
@@ -86,7 +89,7 @@ def flagship_trace() -> TraceReader:
     )
 
 
-def _ablation_trace(policy: SelectionPolicy) -> TraceReader:
+def _ablation_trace(policy: SelectionPolicy) -> SegmentedTraceReader:
     return _cached_trace(
         f"ablation-{policy.value}",
         days=1.5,
@@ -98,17 +101,17 @@ def _ablation_trace(policy: SelectionPolicy) -> TraceReader:
 
 
 @pytest.fixture(scope="session")
-def uusee_trace() -> TraceReader:
+def uusee_trace() -> SegmentedTraceReader:
     return _ablation_trace(SelectionPolicy.UUSEE)
 
 
 @pytest.fixture(scope="session")
-def random_trace() -> TraceReader:
+def random_trace() -> SegmentedTraceReader:
     return _ablation_trace(SelectionPolicy.RANDOM)
 
 
 @pytest.fixture(scope="session")
-def tree_trace() -> TraceReader:
+def tree_trace() -> SegmentedTraceReader:
     return _ablation_trace(SelectionPolicy.TREE)
 
 

@@ -19,22 +19,22 @@ from repro.baselines import (
     modern_gnutella_snapshot,
 )
 from repro.baselines.gnutella import ultrapeer_ids
-from repro.core.experiments import fig4_degree_distributions, run_simulation_to_trace
+from repro.core.experiments import fig4_degree_distributions, run_campaign
 from repro.core.report import format_table
 from repro.graph import DegreeDistribution, powerlaw_fit, small_world_metrics
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 DAY = 86_400.0
 
 
 def main() -> None:
     print("Simulating 1 day of UUSee ...")
-    trace_path = Path(tempfile.mkdtemp()) / "uusee.jsonl.gz"
-    run_simulation_to_trace(
+    trace_path = Path(tempfile.mkdtemp()) / "uusee"
+    run_campaign(
         trace_path, days=1.0, base_concurrency=400, seed=77, with_flash_crowd=False
     )
     uusee = fig4_degree_distributions(
-        TraceReader(trace_path), snapshot_times={"evening": int(0.9 * DAY)}
+        SegmentedTraceReader(trace_path), snapshot_times={"evening": int(0.9 * DAY)}
     )
     uusee_in = uusee.kind_at("evening", "in")
 

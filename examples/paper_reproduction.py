@@ -17,11 +17,12 @@ shape assertions; this script is for producing the full artifact set.
 """
 
 import argparse
+import shutil
 import time
 from pathlib import Path
 
 from repro.cli import main as repro_cli
-from repro.core.experiments import run_simulation_to_trace
+from repro.core.experiments import run_campaign
 from repro.workloads import presets
 
 
@@ -37,14 +38,15 @@ def main() -> None:
     days = args.days if args.days is not None else preset_days
     base = args.base if args.base is not None else config.base_concurrency
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = args.out_dir / "trace.jsonl.gz"
+    trace_path = args.out_dir / "trace"
+    # A rerun into the same --out-dir replaces the previous campaign.
+    shutil.rmtree(trace_path, ignore_errors=True)
     print(
         f"Simulating {days:g} days at base concurrency {base:g} "
         f"(seed {args.seed}) -> {trace_path}"
     )
     t0 = time.time()
-    run_simulation_to_trace(
+    run_campaign(
         trace_path,
         days=days,
         base_concurrency=base,

@@ -16,23 +16,23 @@ from repro.core.experiments import (
     fig6_intra_isp_degrees,
     fig7_small_world,
     fig8_reciprocity,
-    run_simulation_to_trace,
+    run_campaign,
 )
 from repro.core.report import format_table
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 
 def main() -> None:
-    trace_path = Path(tempfile.mkdtemp()) / "quickstart.jsonl.gz"
+    trace_path = Path(tempfile.mkdtemp()) / "quickstart"
     print("Simulating 1.5 days of a ~400-peer UUSee deployment ...")
-    run_simulation_to_trace(
+    run_campaign(
         trace_path,
         days=1.5,
         base_concurrency=400,
         seed=42,
         with_flash_crowd=False,
     )
-    trace = TraceReader(trace_path)
+    trace = SegmentedTraceReader(trace_path)
 
     fig1 = fig1_scale(trace)
     fig3 = fig3_streaming_quality(trace)

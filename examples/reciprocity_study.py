@@ -16,10 +16,10 @@ Run:  python examples/reciprocity_study.py   (about three minutes)
 import tempfile
 from pathlib import Path
 
-from repro.core.experiments import fig8_reciprocity, run_simulation_to_trace
+from repro.core.experiments import fig8_reciprocity, run_campaign
 from repro.core.report import format_table
 from repro.simulator.protocol import SelectionPolicy
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 EXPECTED = {
     SelectionPolicy.UUSEE: "rho > 0 (reciprocal mesh)",
@@ -39,8 +39,8 @@ def main() -> None:
     rows = []
     for policy in (SelectionPolicy.UUSEE, SelectionPolicy.RANDOM, SelectionPolicy.TREE):
         print(f"Simulating with {policy.value} selection ...")
-        path = tmp / f"{policy.value}.jsonl.gz"
-        run_simulation_to_trace(
+        path = tmp / policy.value
+        run_campaign(
             path,
             days=1.5,
             base_concurrency=400,
@@ -48,7 +48,7 @@ def main() -> None:
             with_flash_crowd=False,
             policy=policy,
         )
-        means = fig8_reciprocity(TraceReader(path)).means()
+        means = fig8_reciprocity(SegmentedTraceReader(path)).means()
         rows.append(
             [
                 policy.value,

@@ -2,9 +2,9 @@
 
 Seven subcommands cover the whole pipeline:
 
-- ``simulate`` — run a UUSee deployment and write its Magellan trace;
-- ``run``      — run a crash-safe campaign (segmented trace directory +
-  periodic checkpoints); ``--resume`` continues a killed campaign,
+- ``run``      — simulate a UUSee deployment into a crash-safe campaign
+  directory (its Magellan trace in rotating segments + periodic
+  checkpoints); ``--resume`` continues a killed campaign,
   ``--shards N`` partitions the channels across N supervised worker
   subprocesses (heartbeats, crash-resume, poison-shard quarantine),
   ``--obs-dir`` records live metrics/spans while it runs, and
@@ -13,9 +13,9 @@ Seven subcommands cover the whole pipeline:
   gracefully (final checkpoint, sealed trace, exit code 3);
 - ``serve``    — run the trace ingestion service (UDP + TCP on
   loopback, crash-tolerant admission, SIGTERM drains gracefully);
-- ``analyze``  — regenerate any paper figure (or all) from a trace file
-  or campaign directory, printing series (or ``--json``) and optionally
-  exporting CSV;
+- ``analyze``  — regenerate any paper figure (or all) from a campaign
+  directory, printing series (or ``--json``) and optionally exporting
+  CSV;
 - ``info``     — summarise a trace (span, peers, reports, dynamics), or
   query a live ingest server's health with ``--server``;
 - ``obs``      — observability utilities (``obs summarize <dir>``);
@@ -24,8 +24,8 @@ Seven subcommands cover the whole pipeline:
   partner-selection policy (``--policies``) and print the cross-policy
   Magellan metric table (DESIGN.md Sec. 11).
 
-``simulate``/``run`` accept ``--policy NAME[:key=val,...]`` specs from
-the overlay registry (``uusee``, ``random``, ``tree``, ``locality``,
+``run`` accepts ``--policy NAME[:key=val,...]`` specs from the overlay
+registry (``uusee``, ``random``, ``tree``, ``locality``,
 ``hamiltonian``, ``random-regular``, ``strandcast``).
 """
 
@@ -59,9 +59,13 @@ from repro.qa.cli import add_qa_arguments, run_qa
 from repro.simulator.checkpoint import CheckpointError
 from repro.simulator.protocol import SelectionPolicy
 from repro.traces.segments import SegmentedTraceReader
-from repro.traces.store import TolerantTraceReader, TraceFormatError, TraceReader
+from repro.traces.store import TraceFormatError
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+TRACE_HELP = (
+    "campaign directory written by `repro run` (a lone legacy "
+    ".jsonl[.gz] trace file reads as a one-segment trace)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,24 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Magellan (ICDCS 2007) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="simulate a deployment to a trace file")
-    sim.add_argument("--out", type=Path, required=True, help="trace path (.jsonl[.gz])")
-    sim.add_argument("--days", type=float, default=2.0)
-    sim.add_argument("--base", type=float, default=500.0, help="base concurrency")
-    sim.add_argument("--seed", type=int, default=2006)
-    sim.add_argument(
-        "--policy",
-        default=SelectionPolicy.UUSEE.value,
-        metavar="SPEC",
-        help="partner-selection policy spec NAME[:key=val,...] "
-        f"(available: {', '.join(available_policies())})",
-    )
-    sim.add_argument(
-        "--no-flash-crowd",
-        action="store_true",
-        help="disable the day-5 flash crowd event",
-    )
 
     run = sub.add_parser(
         "run",
@@ -233,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ana = sub.add_parser("analyze", help="regenerate paper figures from a trace")
-    ana.add_argument("--trace", type=Path, required=True)
+    ana.add_argument("--trace", type=Path, required=True, help=TRACE_HELP)
     ana.add_argument(
         "--figure",
         choices=FIGURES + ("windows", "all"),
@@ -270,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(output is byte-identical to --workers 1)",
     )
 
-    info = sub.add_parser("info", help="summarise a trace file")
-    info.add_argument("--trace", type=Path)
+    info = sub.add_parser("info", help="summarise a trace")
+    info.add_argument("--trace", type=Path, help=TRACE_HELP)
     info.add_argument(
         "--tolerant",
         action="store_true",
@@ -321,27 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the GitHub-flavoured markdown table (for EXPERIMENTS.md)",
     )
     return parser
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    print(
-        f"simulating {args.days} days at base concurrency {args.base:.0f} "
-        f"(seed {args.seed}, policy {args.policy}) ..."
-    )
-    try:
-        ex.run_simulation_to_trace(
-            args.out,
-            days=args.days,
-            base_concurrency=args.base,
-            seed=args.seed,
-            with_flash_crowd=not args.no_flash_crowd,
-            policy=args.policy,
-        )
-    except PolicyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"trace written to {args.out}")
-    return 0
 
 
 def cmd_compare_overlays(args: argparse.Namespace) -> int:
@@ -675,13 +640,6 @@ def _query_server_health(target: str) -> dict[str, object]:
     return payload
 
 
-def _open_trace(path: Path, *, tolerant: bool):
-    """A re-iterable reader for a trace file or campaign directory."""
-    if path.is_dir():
-        return SegmentedTraceReader(path, tolerant=tolerant)
-    return TolerantTraceReader(path) if tolerant else TraceReader(path)
-
-
 def _render_fig1(csv_dir, result):
     print(format_series(result.series, ["total", "stable"], title="Fig. 1(A) simultaneous peers"))
     print()
@@ -989,7 +947,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    trace = _open_trace(args.trace, tolerant=args.tolerant)
+    trace = SegmentedTraceReader(args.trace, tolerant=args.tolerant)
     figures = FIGURES if args.figure == "all" else (args.figure,)
     if args.csv_dir:
         args.csv_dir.mkdir(parents=True, exist_ok=True)
@@ -1059,7 +1017,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     if not args.trace.exists():
         print(f"error: no such trace: {args.trace}", file=sys.stderr)
         return 2
-    trace = _open_trace(args.trace, tolerant=args.tolerant)
+    trace = SegmentedTraceReader(args.trace, tolerant=args.tolerant)
     count = 0
     first = last = None
     ips = set()
@@ -1114,8 +1072,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args)
     if args.command == "run":
         return cmd_run(args)
     if args.command == "serve":

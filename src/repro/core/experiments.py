@@ -1,14 +1,14 @@
 """Per-figure experiment drivers (DESIGN.md Sec. 3).
 
 Each ``figN_*`` function turns a trace (any re-iterable of reports, e.g.
-:class:`repro.traces.TraceReader`) into exactly the series or
+:class:`repro.traces.SegmentedTraceReader`) into exactly the series or
 distributions the corresponding paper figure plots.  Each is a thin
 wrapper over its ``figN_plan``: a :class:`FigurePlan` that says what
 the figure samples and how it finishes, so several figures can share
 one pass over the trace (``repro analyze --figure all`` charts all of
 them from one read).
-``run_simulation_to_trace`` produces such traces from the simulator at a
-chosen scale; benchmarks and examples share it.
+``run_campaign`` produces such traces from the simulator at a chosen
+scale; the CLI, benchmarks and examples share it.
 """
 
 from __future__ import annotations
@@ -68,11 +68,10 @@ from repro.simulator.checkpoint import (
 from repro.simulator.failures import FaultPlan
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.system import SystemConfig, UUSeeSystem
-from repro.traces.faults import ChannelFaults, FaultyChannel
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
 from repro.traces.segments import SegmentedTraceStore
-from repro.traces.store import JsonlTraceStore, iter_windows
+from repro.traces.store import iter_windows
 from repro.workloads.flashcrowd import FlashCrowdEvent
 
 SECONDS_PER_HOUR = 3_600.0
@@ -119,54 +118,6 @@ def normalize_policy(policy: SelectionPolicy | str) -> tuple[SelectionPolicy, st
     return SelectionPolicy.UUSEE, canonical_spec(name, params)
 
 
-def run_simulation_to_trace(
-    path: str | Path,
-    *,
-    days: float = 14.0,
-    base_concurrency: float = 1_000.0,
-    seed: int = 2006,
-    with_flash_crowd: bool = True,
-    policy: SelectionPolicy | str = SelectionPolicy.UUSEE,
-    protocol: ProtocolConfig | None = None,
-    catalogue: ChannelCatalogue | None = None,
-    faults: FaultPlan | None = None,
-    channel_faults: ChannelFaults | None = None,
-    trace_mode: str = "overwrite",
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Path:
-    """Simulate a UUSee deployment and write its trace to ``path``.
-
-    Returns the path.  The defaults reproduce the paper's two selected
-    weeks at ~1/100 scale, including the day-5 flash crowd.  ``faults``
-    injects infrastructure faults into the simulated system;
-    ``channel_faults`` damages the report stream on its way to disk
-    (producing a dirty trace that needs the tolerant readers).
-    """
-    path = Path(path)
-    policy_enum, overlay = normalize_policy(policy)
-    config = SystemConfig(
-        seed=seed,
-        base_concurrency=base_concurrency,
-        flash_crowd=FlashCrowdEvent() if with_flash_crowd else None,
-        policy=policy_enum,
-        overlay=overlay,
-        protocol=protocol or ProtocolConfig(),
-        faults=faults,
-    )
-    with JsonlTraceStore(path, mode=trace_mode, obs=obs) as store:
-        sink = (
-            FaultyChannel(store, channel_faults, seed=seed)
-            if channel_faults is not None
-            else store
-        )
-        system = UUSeeSystem(config, sink, catalogue=catalogue, obs=obs)
-        with obs.span("campaign.run"):
-            system.run(days=days)
-        if sink is not store:
-            sink.flush()
-    return path
-
-
 @dataclass
 class CampaignResult:
     """Outcome of a (possibly resumed) crash-safe measurement campaign."""
@@ -210,10 +161,10 @@ def run_campaign(
     engine: str = "object",
     obs: AnyObserver = NULL_OBSERVER,
 ) -> CampaignResult:
-    """Run a crash-safe campaign: segmented trace + periodic checkpoints.
+    """Simulate a UUSee deployment into a crash-safe campaign directory.
 
-    The durable sibling of :func:`run_simulation_to_trace` for runs long
-    enough to be killed.  The trace goes to a
+    The defaults reproduce the paper's two selected weeks at ~1/100
+    scale, including the day-5 flash crowd.  The trace goes to a
     :class:`~repro.traces.segments.SegmentedTraceStore` under
     ``trace_dir``; a checkpoint lands in ``checkpoint_dir`` (default
     ``trace_dir/checkpoints``) every ``checkpoint_every_rounds``

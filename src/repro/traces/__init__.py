@@ -10,9 +10,14 @@ server, which appends them to a trace store.
 
 Because the real collection path was a lossy Internet UDP path, this
 package also carries a fault-injection layer (``FaultyChannel``) and a
-dirty-trace-tolerant read path (``TraceReader(tolerant=True)``,
-``TolerantTraceReader``, ``iter_windows(tolerant=True)``) whose
-accounting lands in a ``TraceHealth``.
+dirty-trace-tolerant read path (``SegmentedTraceReader(tolerant=True)``,
+``iter_windows(tolerant=True)``) whose accounting lands in a
+``TraceHealth``.
+
+On disk a trace is a campaign directory of JSONL(.gz) segments under a
+manifest: ``SegmentedTraceStore`` writes it and ``SegmentedTraceReader``
+reads it.  The reader also takes a lone legacy ``.jsonl[.gz]`` file
+(the single-file layout of older releases) as a one-segment trace.
 """
 
 from repro.traces.records import PartnerRecord, PeerReport
@@ -29,10 +34,7 @@ from repro.traces.segments import (
 )
 from repro.traces.store import (
     InMemoryTraceStore,
-    JsonlTraceStore,
-    TolerantTraceReader,
     TraceFormatError,
-    TraceReader,
     TraceStoreClosedError,
     TraceTruncatedError,
     iter_windows,
@@ -51,14 +53,11 @@ __all__ = [
     "ChannelFaults",
     "FaultyChannel",
     "InMemoryTraceStore",
-    "JsonlTraceStore",
     "SegmentInfo",
     "SegmentRecoveryError",
     "SegmentedTraceReader",
     "SegmentedTraceStore",
-    "TolerantTraceReader",
     "TraceFormatError",
-    "TraceReader",
     "TraceStoreClosedError",
     "TraceTruncatedError",
     "iter_windows",

@@ -77,7 +77,7 @@ class FaultyChannel:
 
     Wraps any store with an ``append(report)`` method; corruption
     additionally needs ``append_line(raw)`` (as on
-    :class:`~repro.traces.store.JsonlTraceStore`) — without it the
+    :class:`~repro.traces.segments.SegmentedTraceStore`) — without it the
     corrupted report is simply dropped, still counted as corrupted.
 
     Loss follows a two-state Gilbert–Elliott chain whose stationary

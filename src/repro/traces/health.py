@@ -3,8 +3,9 @@
 A 120 GB UDP-collected trace is never clean: reports get lost,
 duplicated and reordered in flight, and lines get truncated or
 corrupted when the collector is killed mid-write.  ``TraceHealth``
-accumulates what the tolerant readers (``TraceReader(tolerant=True)``,
-``sanitize``, ``iter_windows(tolerant=True)``) skipped, deduplicated or
+accumulates what the tolerant read path
+(``SegmentedTraceReader(tolerant=True)``, ``sanitize``,
+``iter_windows(tolerant=True)``) skipped, deduplicated or
 re-sorted, so analytics over a dirty trace can report exactly how dirty
 it was instead of silently pretending it was clean.
 """

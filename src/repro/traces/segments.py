@@ -15,9 +15,11 @@ line or gzip tail of the active segment, and reopens for append exactly
 at the recovery point, accumulating everything it repaired into a
 :class:`~repro.traces.health.TraceHealth`.  :meth:`rollback` cuts the
 store back to a checkpoint's record count so a resumed campaign rejoins
-byte-for-byte.  :class:`SegmentedTraceReader` is the matching
-multi-segment read path — a re-iterable drop-in wherever analytics
-(``iter_windows`` included) expects a time-ordered report stream.
+byte-for-byte.  :class:`SegmentedTraceReader` is the one trace reader
+(strict or tolerant): a re-iterable report stream over a campaign
+directory, or over a lone legacy ``.jsonl[.gz]`` file read as a
+one-segment trace, wherever analytics (``iter_windows`` included)
+expects a time-ordered report stream.
 
 Compressed segments are written with a zeroed gzip mtime so identical
 content compresses to identical bytes across runs; note that a
@@ -35,6 +37,7 @@ import json
 import os
 import re
 import zlib
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,8 +48,9 @@ from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
 from repro.traces.store import (
-    TraceReader,
+    TraceFormatError,
     TraceStoreClosedError,
+    TraceTruncatedError,
     sanitize,
 )
 
@@ -57,6 +61,13 @@ MANIFEST_VERSION = 1
 
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.jsonl(\.gz)?$")
 _QUARANTINE_SUFFIX = ".quarantined"
+#: Deduplication memory of a tolerant read: enough to catch the
+#: adjacent re-deliveries a UDP path produces without unbounded state.
+_DEDUP_CAPACITY = 8_192
+#: Exceptions a torn or damaged gzip stream raises while being read;
+#: ``EOFError`` is the torn-tail signature (killed collector), the other
+#: two appear when compressed bytes themselves are damaged.
+_GZIP_DAMAGE = (EOFError, gzip.BadGzipFile, zlib.error)
 
 
 class SegmentRecoveryError(RuntimeError):
@@ -76,6 +87,17 @@ def _segment_index(name: str) -> int | None:
     """The 1-based index encoded in a segment file name, else None."""
     match = _SEGMENT_RE.match(name)
     return int(match.group(1)) if match else None
+
+
+def _segment_files(directory: Path) -> list[tuple[int, Path]]:
+    """``(index, path)`` of every segment file in ``directory``, index order."""
+    found: list[tuple[int, Path]] = []
+    for path in directory.iterdir():
+        index = _segment_index(path.name)
+        if index is not None:
+            found.append((index, path))
+    found.sort()
+    return found
 
 
 def _scan_content(data: bytes) -> tuple[int, bytes, bool]:
@@ -154,7 +176,9 @@ class SegmentedTraceStore:
         #: What the most recent :meth:`recover` repaired (clean here).
         self.health = TraceHealth()
         self.directory.mkdir(parents=True, exist_ok=True)
-        if (self.directory / MANIFEST_NAME).exists() or self._disk_segments():
+        if (self.directory / MANIFEST_NAME).exists() or _segment_files(
+            self.directory
+        ):
             raise FileExistsError(
                 f"{self.directory} already holds a segmented trace; "
                 "reopen it with SegmentedTraceStore.recover()"
@@ -175,16 +199,6 @@ class SegmentedTraceStore:
 
     def _segment_path(self, index: int) -> Path:
         return self.directory / self._segment_name(index)
-
-    def _disk_segments(self) -> list[tuple[int, Path]]:
-        """(index, path) for every segment file on disk, index order."""
-        found: list[tuple[int, Path]] = []
-        for path in self.directory.iterdir() if self.directory.exists() else ():
-            index = _segment_index(path.name)
-            if index is not None:
-                found.append((index, path))
-        found.sort()
-        return found
 
     # -- append path -------------------------------------------------------
 
@@ -322,7 +336,7 @@ class SegmentedTraceStore:
         segment files.  Requires the store to be closed (or synced).
         """
         digest = hashlib.sha256()
-        for _, path in self._disk_segments():
+        for _, path in _segment_files(self.directory):
             data, _ = _read_segment_bytes(path, path.suffix == ".gz")
             digest.update(data)
         return digest.hexdigest()
@@ -385,13 +399,7 @@ class SegmentedTraceStore:
         store._raw = None
 
         manifest = cls._load_manifest(manifest_path)
-        disk = {
-            index: path
-            for index, path in sorted(
-                (i, p)
-                for i, p in cls._scan_disk(directory)
-            )
-        }
+        disk = dict(_segment_files(directory))
         if manifest is None and not disk:
             raise SegmentRecoveryError(
                 f"{directory}: not a segmented trace "
@@ -509,15 +517,6 @@ class SegmentedTraceStore:
         return manifest
 
     @staticmethod
-    def _scan_disk(directory: Path) -> list[tuple[int, Path]]:
-        found: list[tuple[int, Path]] = []
-        for path in directory.iterdir():
-            index = _segment_index(path.name)
-            if index is not None:
-                found.append((index, path))
-        return found
-
-    @staticmethod
     def _quarantine(path: Path) -> None:
         os.replace(path, path.with_name(path.name + _QUARANTINE_SUFFIX))
 
@@ -621,51 +620,123 @@ class SegmentedTraceStore:
         self._active_hash.update(data)
 
 
-class SegmentedTraceReader:
-    """Re-iterable multi-segment read path (strict or tolerant).
+def _parse_segment(
+    path: Path,
+    *,
+    tolerant: bool,
+    health: TraceHealth,
+    seen: OrderedDict[tuple[float, int], None],
+) -> Iterator[PeerReport]:
+    """Stream the reports of one JSONL(.gz) segment, strict or tolerant.
 
-    Iterates every segment of a directory in index order — sealed or
-    not — as one continuous report stream, so ``iter_windows`` and all
-    ``repro.core`` analytics consume a segmented campaign trace exactly
-    like a single-file one.  With ``tolerant=True`` each segment is read
-    through the tolerant parser and the combined stream is re-sorted
-    with :func:`~repro.traces.store.sanitize` (reordering can straddle a
-    segment boundary); :attr:`health` accumulates the whole pass.
+    Strict mode raises :class:`~repro.traces.store.TraceFormatError`
+    naming the line of the first malformed record, or
+    :class:`~repro.traces.store.TraceTruncatedError` when the damage is
+    an incomplete final line or a torn gzip stream — the signature of a
+    collector killed mid-write.  Tolerant mode skips and counts bad
+    lines, ends the segment at a torn gzip tail (everything before the
+    tear was already yielded), quarantines garbage-valued records and
+    drops re-deliveries already in ``seen``, the pass's one dedup window.
+    Counters accumulate into ``health``.
+    """
+    lineno = 0
+    fh: TextIO = gzip.open(path, "rt") if path.suffix == ".gz" else open(path)
+    with fh:
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                health.lines_read += 1
+                try:
+                    report = PeerReport.from_json(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    truncated = not raw.endswith("\n")
+                    if tolerant:
+                        if truncated:
+                            health.truncated_lines += 1
+                        else:
+                            health.parse_failures += 1
+                        continue
+                    if truncated:
+                        raise TraceTruncatedError(
+                            f"{path}: truncated final line {lineno} "
+                            "(collector killed mid-write?); re-read with "
+                            "tolerant=True to skip it"
+                        ) from exc
+                    raise TraceFormatError(
+                        f"{path}: malformed record on line {lineno}: {exc}"
+                    ) from exc
+                if tolerant:
+                    if not report.is_wellformed():
+                        health.quarantined += 1
+                        continue
+                    key = (report.time, report.peer_ip)
+                    if key in seen:
+                        health.duplicates += 1
+                        continue
+                    seen[key] = None
+                    if len(seen) > _DEDUP_CAPACITY:
+                        seen.popitem(last=False)
+                health.records_ok += 1
+                yield report
+        except _GZIP_DAMAGE as exc:
+            if tolerant:
+                health.truncated_lines += 1
+                return
+            raise TraceTruncatedError(
+                f"{path}: compressed stream damaged after line {lineno} "
+                "(collector killed mid-write?); re-read with "
+                "tolerant=True to keep the intact prefix"
+            ) from exc
+
+
+class SegmentedTraceReader:
+    """The trace reader: a re-iterable report stream, strict or tolerant.
+
+    ``path`` is a campaign directory, whose segments — sealed or not —
+    are read in index order as one continuous stream, so
+    ``iter_windows`` and all ``repro.core`` analytics consume a whole
+    campaign trace.  A lone legacy ``.jsonl[.gz]`` file is read as a
+    one-segment trace.  With ``tolerant=True`` every segment goes
+    through the tolerant parser with one dedup window for the whole
+    pass, and the combined stream is re-sorted with
+    :func:`~repro.traces.store.sanitize` (reordering can straddle a
+    segment boundary); :attr:`health` accounts the most recent
+    complete iteration.
     """
 
     def __init__(
         self,
-        directory: str | Path,
+        path: str | Path,
         *,
         tolerant: bool = False,
         slack_s: float = 600.0,
     ) -> None:
-        self.directory = Path(directory)
+        self.path = Path(path)
         self.tolerant = tolerant
         self.slack_s = slack_s
         #: Accounting of the most recent complete iteration.
         self.health = TraceHealth()
 
     def segment_paths(self) -> list[Path]:
-        """Every segment file in the directory, in index order."""
-        found: list[tuple[int, Path]] = []
-        for path in self.directory.iterdir():
-            index = _segment_index(path.name)
-            if index is not None:
-                found.append((index, path))
-        return [path for _, path in sorted(found)]
+        """Every segment file in index order (a lone file is its own)."""
+        if self.path.is_file():
+            return [self.path]
+        return [path for _, path in _segment_files(self.path)]
 
-    def _raw_reports(self) -> Iterator[PeerReport]:
+    def _parsed(self) -> Iterator[PeerReport]:
+        seen: OrderedDict[tuple[float, int], None] = OrderedDict()
         for path in self.segment_paths():
-            reader = TraceReader(path, tolerant=self.tolerant)
-            yield from reader
-            self.health.merge(reader.health)
+            yield from _parse_segment(
+                path, tolerant=self.tolerant, health=self.health, seen=seen
+            )
 
     def __iter__(self) -> Iterator[PeerReport]:
         self.health.reset()
         if not self.tolerant:
-            yield from self._raw_reports()
+            yield from self._parsed()
             return
         yield from sanitize(
-            self._raw_reports(), slack_s=self.slack_s, health=self.health
+            self._parsed(), slack_s=self.slack_s, health=self.health
         )

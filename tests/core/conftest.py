@@ -7,18 +7,18 @@ suite's runtime).
 
 import pytest
 
-from repro.core.experiments import run_simulation_to_trace
-from repro.traces import TraceReader
+from repro.core.experiments import run_campaign
+from repro.traces import SegmentedTraceReader
 
 
 @pytest.fixture(scope="session")
 def small_trace(tmp_path_factory):
-    path = tmp_path_factory.mktemp("trace") / "small.jsonl.gz"
-    run_simulation_to_trace(
+    path = tmp_path_factory.mktemp("trace") / "small"
+    run_campaign(
         path,
         days=2.0,
         base_concurrency=400.0,
         seed=11,
         with_flash_crowd=False,
     )
-    return TraceReader(path)
+    return SegmentedTraceReader(path)

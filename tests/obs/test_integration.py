@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.core.experiments import run_campaign, run_simulation_to_trace
+from repro.core.experiments import run_campaign
 from repro.core.timeseries import round_event_series
 from repro.obs import (
     Observer,
@@ -23,6 +23,7 @@ from repro.obs import (
     read_events,
     render_summary,
 )
+from repro.traces import SegmentedTraceReader
 
 DAYS = 0.1
 BASE = 80.0
@@ -66,18 +67,23 @@ def _counters(obs):
 
 class TestTraceNeutrality:
     def test_trace_bytes_identical_obs_on_vs_off(self, tmp_path):
-        plain = tmp_path / "plain.jsonl"
-        observed = tmp_path / "observed.jsonl"
-        run_simulation_to_trace(
+        plain = tmp_path / "plain"
+        observed = tmp_path / "observed"
+        run_campaign(
             plain, days=DAYS, base_concurrency=BASE, seed=SEED,
             with_flash_crowd=False,
         )
         obs = Observer()
-        run_simulation_to_trace(
+        run_campaign(
             observed, days=DAYS, base_concurrency=BASE, seed=SEED,
             with_flash_crowd=False, obs=obs,
         )
-        assert observed.read_bytes() == plain.read_bytes()
+        plain_segments = SegmentedTraceReader(plain).segment_paths()
+        observed_segments = SegmentedTraceReader(observed).segment_paths()
+        assert [p.name for p in observed_segments] == [p.name for p in plain_segments]
+        assert [p.read_bytes() for p in observed_segments] == [
+            p.read_bytes() for p in plain_segments
+        ]
         # and the observer actually saw the run
         assert obs.registry.counter("sim.rounds").value > 0
 

@@ -1,15 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
-import gzip
-
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.traces import SegmentedTraceReader
 
 
-def trace_lines(path):
-    with gzip.open(path, "rt") as fh:
-        return fh.readlines()
+def trace_lines(trace_dir):
+    return [
+        line
+        for path in SegmentedTraceReader(trace_dir).segment_paths()
+        for line in path.read_text().splitlines(keepends=True)
+    ]
 
 
 def corrupt_copy(trace, tmp_path):
@@ -31,12 +33,12 @@ def dirty_copy(trace, tmp_path):
 
 @pytest.fixture(scope="module")
 def cli_trace(tmp_path_factory):
-    """A tiny simulated trace produced through the CLI itself."""
-    path = tmp_path_factory.mktemp("cli") / "trace.jsonl.gz"
+    """A tiny simulated campaign produced through the CLI itself."""
+    path = tmp_path_factory.mktemp("cli") / "trace"
     rc = main(
         [
-            "simulate",
-            "--out",
+            "run",
+            "--trace-dir",
             str(path),
             "--days",
             "0.4",
@@ -55,7 +57,7 @@ class TestParser:
     def test_commands_exist(self):
         parser = build_parser()
         for argv in (
-            ["simulate", "--out", "x.jsonl"],
+            ["run", "--trace-dir", "d"],
             ["analyze", "--trace", "x.jsonl"],
             ["info", "--trace", "x.jsonl"],
         ):
@@ -71,7 +73,7 @@ class TestParser:
 
     def test_policy_choices(self):
         parser = build_parser()
-        args = parser.parse_args(["simulate", "--out", "t", "--policy", "tree"])
+        args = parser.parse_args(["run", "--trace-dir", "d", "--policy", "tree"])
         assert args.policy == "tree"
 
     def test_run_defaults(self):
@@ -135,8 +137,9 @@ class TestRunCampaign:
 
 class TestSimulate:
     def test_trace_created(self, cli_trace):
-        assert cli_trace.exists()
-        assert cli_trace.stat().st_size > 1000
+        segments = SegmentedTraceReader(cli_trace).segment_paths()
+        assert segments
+        assert sum(path.stat().st_size for path in segments) > 1000
 
 
 class TestInfo:
@@ -437,12 +440,13 @@ class TestCompareOverlays:
         assert "hamiltonian:k=2" in out
         assert "k=2" in out
 
-    def test_simulate_rejects_bad_policy(self, tmp_path, capsys):
+    def test_run_rejects_bad_policy(self, tmp_path, capsys):
         rc = main(
             [
-                "simulate", "--out", str(tmp_path / "t.jsonl"),
+                "run", "--trace-dir", str(tmp_path / "camp"),
                 "--days", "0.05", "--policy", "locality:mix=5",
             ]
         )
         assert rc == 2
         assert "mix must be in" in capsys.readouterr().err
+        assert not (tmp_path / "camp").exists()

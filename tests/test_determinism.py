@@ -10,13 +10,17 @@ import hashlib
 
 import pytest
 
-from repro.core.experiments import fig6_intra_isp_degrees, run_simulation_to_trace
-from repro.traces import TraceReader
+from repro.core.experiments import fig6_intra_isp_degrees, run_campaign
+from repro.traces import SegmentedTraceReader
 from repro.workloads import presets
 
 
-def sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def sha256(trace_dir):
+    """Digest of a campaign directory's trace bytes, segment by segment."""
+    digest = hashlib.sha256()
+    for path in SegmentedTraceReader(trace_dir).segment_paths():
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class TestTraceDeterminism:
@@ -29,8 +33,8 @@ class TestTraceDeterminism:
             "seed": 123,
             "with_flash_crowd": False,
         }
-        a = run_simulation_to_trace(base / "a.jsonl", **kwargs)
-        b = run_simulation_to_trace(base / "b.jsonl", **kwargs)
+        a = run_campaign(base / "a", **kwargs).trace_dir
+        b = run_campaign(base / "b", **kwargs).trace_dir
         return a, b
 
     def test_trace_bytes_identical(self, twin_traces):
@@ -39,21 +43,21 @@ class TestTraceDeterminism:
 
     def test_different_seed_different_bytes(self, twin_traces, tmp_path):
         a, _ = twin_traces
-        c = run_simulation_to_trace(
-            tmp_path / "c.jsonl",
+        c = run_campaign(
+            tmp_path / "c",
             days=0.3,
             base_concurrency=150,
             seed=124,
             with_flash_crowd=False,
-        )
+        ).trace_dir
         assert sha256(a) != sha256(c)
 
     def test_metrics_identical_across_reads(self, twin_traces):
         a, _ = twin_traces
-        first = fig6_intra_isp_degrees(TraceReader(a)).mean_fractions(
+        first = fig6_intra_isp_degrees(SegmentedTraceReader(a)).mean_fractions(
             skip_first_hours=2
         )
-        second = fig6_intra_isp_degrees(TraceReader(a)).mean_fractions(
+        second = fig6_intra_isp_degrees(SegmentedTraceReader(a)).mean_fractions(
             skip_first_hours=2
         )
         assert first == second

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.traces import PartnerRecord, PeerReport, TraceReader
+from repro.traces import (
+    PartnerRecord,
+    PeerReport,
+    SegmentedTraceReader,
+    SegmentedTraceStore,
+)
 
 
 def sample_report(**overrides):
@@ -67,9 +72,11 @@ class TestSerialisation:
         bad = sample_report(time=1300.0).to_json().replace(
             "[22,20002,0,88]", "[22,20002,0]"
         )
-        path = tmp_path / "arity.jsonl"
-        path.write_text(good + "\n" + bad + "\n")
-        reader = TraceReader(path, tolerant=True)
+        path = tmp_path / "arity"
+        with SegmentedTraceStore(path) as store:
+            store.append_line(good)
+            store.append_line(bad)
+        reader = SegmentedTraceReader(path, tolerant=True)
         assert [r.time for r in reader] == [1234.5]
         assert reader.health.parse_failures == 1
 

@@ -1,14 +1,17 @@
-"""Unit tests for trace stores, the trace server and windowing."""
+"""Unit tests for trace stores, the trace reader, the trace server and windowing."""
 
 import pytest
 
+import gzip
+import shutil
+
 from repro.traces import (
     InMemoryTraceStore,
-    JsonlTraceStore,
     PartnerRecord,
     PeerReport,
+    SegmentedTraceReader,
+    SegmentedTraceStore,
     TraceHealth,
-    TraceReader,
     TraceFormatError,
     TraceServer,
     TraceStoreClosedError,
@@ -42,29 +45,40 @@ class TestInMemoryStore:
 
 class TestJsonlStore:
     def test_roundtrip_plain(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "trace"
+        with SegmentedTraceStore(path) as store:
             for t in range(5):
                 store.append(report_at(float(t), ip=t))
             assert len(store) == 5
-        reports = list(TraceReader(path))
+        reports = list(SegmentedTraceReader(path))
         assert [r.peer_ip for r in reports] == [0, 1, 2, 3, 4]
         assert reports[0].partners[0].recv_segments == 12
 
     def test_roundtrip_gzip(self, tmp_path):
-        path = tmp_path / "trace.jsonl.gz"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "trace"
+        with SegmentedTraceStore(path, compress=True) as store:
             store.append(report_at(7.5))
-        got = list(TraceReader(path))
+        got = list(SegmentedTraceReader(path))
         assert len(got) == 1
         assert got[0].time == 7.5
 
-    def test_compress_inferred_from_suffix(self, tmp_path):
-        assert JsonlTraceStore(tmp_path / "a.jsonl.gz").compress
-        assert not JsonlTraceStore(tmp_path / "a.jsonl").compress
+    def test_lone_legacy_file_reads_like_one_segment_directory(self, tmp_path):
+        # A single-file trace from before the campaign-directory layout
+        # is read as a one-segment trace: same bytes, same reports.
+        legacy = tmp_path / "old.jsonl.gz"
+        with gzip.open(legacy, "wt") as fh:
+            for t in range(6):
+                fh.write(report_at(float(t), ip=t + 1).to_json() + "\n")
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        shutil.copyfile(legacy, campaign / "seg-00000001.jsonl.gz")
+        assert SegmentedTraceReader(legacy).segment_paths() == [legacy]
+        from_file = list(SegmentedTraceReader(legacy))
+        assert len(from_file) == 6
+        assert from_file == list(SegmentedTraceReader(campaign))
 
     def test_close_idempotent(self, tmp_path):
-        store = JsonlTraceStore(tmp_path / "t.jsonl")
+        store = SegmentedTraceStore(tmp_path / "t")
         store.close()
         store.close()
 
@@ -72,28 +86,29 @@ class TestJsonlStore:
         # Teardown paths routinely flush a store something else already
         # closed (a ``with`` block, a campaign's cleanup); close flushed
         # everything, so this must not raise on the closed handle.
-        path = tmp_path / "t.jsonl"
-        store = JsonlTraceStore(path)
+        path = tmp_path / "t"
+        store = SegmentedTraceStore(path)
         store.append(report_at(1.0))
         store.close()
         store.flush()
-        assert len(list(TraceReader(path))) == 1
+        assert len(list(SegmentedTraceReader(path))) == 1
 
     def test_append_after_close_raises_named_error(self, tmp_path):
-        store = JsonlTraceStore(tmp_path / "t.jsonl")
+        path = tmp_path / "t"
+        store = SegmentedTraceStore(path)
         store.close()
         with pytest.raises(TraceStoreClosedError) as err:
             store.append(report_at(1.0))
-        assert "t.jsonl" in str(err.value)
+        assert str(path) in str(err.value)
         assert "append" in str(err.value)
 
     def test_fsync_on_flush_writes_through(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        store = JsonlTraceStore(path, flush_every=1, fsync_on_flush=True)
+        path = tmp_path / "t"
+        store = SegmentedTraceStore(path, flush_every=1, fsync_on_flush=True)
         store.append(report_at(1.0))
         # Durable at the flush boundary: visible to a second reader
         # before close().
-        assert len(list(TraceReader(path))) == 1
+        assert len(list(SegmentedTraceReader(path))) == 1
         store.close()
 
 
