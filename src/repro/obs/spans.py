@@ -147,6 +147,11 @@ class Observer:
         """The attached event sink, if any."""
         return self._sink
 
+    @property
+    def clock(self) -> Clock:
+        """The wall-clock seam every duration is read through."""
+        return self._clock
+
     def bind_sim_clock(self, sim_clock: Callable[[], float]) -> None:
         """Attach the simulator's clock so spans can report sim seconds."""
         self._sim_clock = sim_clock

@@ -51,6 +51,8 @@ class ObsSummary:
     spans: dict[str, SpanStats] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
+    #: ``metrics.json`` histogram states (``count``, ``total``, buckets).
+    histograms: dict[str, dict[str, Any]] = field(default_factory=dict)
     events_read: int = 0
     bad_lines: int = 0
 
@@ -106,6 +108,7 @@ def summarize_dir(obs_dir: str | Path) -> ObsSummary:
         state = json.loads(metrics_path.read_text(encoding="utf-8"))
         summary.counters = {str(k): float(v) for k, v in state.get("counters", {}).items()}
         summary.gauges = {str(k): float(v) for k, v in state.get("gauges", {}).items()}
+        summary.histograms = {str(k): dict(v) for k, v in state.get("histograms", {}).items()}
     return summary
 
 
@@ -148,6 +151,20 @@ def _span_section(title: str, spans: list[SpanStats]) -> list[str]:
     return [title, table, ""]
 
 
+def _gc_section(summary: ObsSummary) -> list[str]:
+    """The campaign GC policy's pause accounting (empty when not recorded)."""
+    pauses = summary.histograms.get("gc.pause")
+    if pauses is None:
+        return []
+    rows = [
+        ["collections", f"{summary.counters.get('gc.collections', 0.0):g}"],
+        ["gen-2 collections", f"{summary.counters.get('gc.collections.gen2', 0.0):g}"],
+        ["total pause s", f"{float(pauses.get('total', 0.0)):.3f}"],
+        ["max pause ms", f"{summary.gauges.get('gc.pause.max', 0.0) * 1000:.3f}"],
+    ]
+    return ["Garbage collection", _render_table(["gc", "value"], rows), ""]
+
+
 def render_summary(obs_dir: str | Path) -> str:
     """Render the full human report for ``obs summarize``."""
     summary = summarize_dir(obs_dir)
@@ -162,6 +179,7 @@ def render_summary(obs_dir: str | Path) -> str:
     out.extend(_span_section("Round-phase timings", sim_spans))
     out.extend(_span_section("Analytics timings", analytics_spans))
     out.extend(_span_section("Other timings", other_spans))
+    out.extend(_gc_section(summary))
     if summary.counters:
         rows = [[name, f"{value:g}"] for name, value in sorted(summary.counters.items())]
         out.append("Counters")

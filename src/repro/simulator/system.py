@@ -35,6 +35,7 @@ from repro.simulator.channel import ChannelCatalogue, default_catalogue
 from repro.simulator.engine import EventEngine
 from repro.simulator.exchange import ExchangeEngine, RoundStats
 from repro.simulator.failures import FaultPlan, OutageSchedule
+from repro.simulator.gcpolicy import campaign_gc
 from repro.simulator.peer import Peer
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.tracker import Tracker, TrackerPool
@@ -245,6 +246,10 @@ class UUSeeSystem:
         true ends the run early *after* the round completed, so the
         caller can checkpoint a consistent cut.  Returns ``True`` when
         the span finished, ``False`` when ``stop`` cut it short.
+
+        The rounds run under the campaign GC policy
+        (:func:`repro.simulator.gcpolicy.campaign_gc`); the process's
+        collector settings are restored on every exit.
         """
         if (seconds is None) == (days is None):
             raise ValueError("pass exactly one of seconds/days")
@@ -255,19 +260,20 @@ class UUSeeSystem:
         span = seconds if seconds is not None else days * 86_400.0
         end = self.engine.now + span
         dt = self.config.protocol.round_seconds
-        while self.engine.now < end - 1e-9:
-            self._round(dt)
-            self.engine.run_until(self.engine.now + dt)
-            self.rounds_completed += 1
-            if (
-                checkpoint is not None
-                and self.rounds_completed % checkpoint_every_rounds == 0
-            ):
-                checkpoint.save(self)
-            if on_round is not None:
-                on_round(self.rounds_completed)
-            if stop is not None and stop():
-                return False
+        with campaign_gc(self.obs):
+            while self.engine.now < end - 1e-9:
+                self._round(dt)
+                self.engine.run_until(self.engine.now + dt)
+                self.rounds_completed += 1
+                if (
+                    checkpoint is not None
+                    and self.rounds_completed % checkpoint_every_rounds == 0
+                ):
+                    checkpoint.save(self)
+                if on_round is not None:
+                    on_round(self.rounds_completed)
+                if stop is not None and stop():
+                    return False
         return True
 
     def _round(self, dt: float) -> None:

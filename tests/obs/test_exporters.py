@@ -1,5 +1,6 @@
 """Exporter tests: JSONL event log, Prometheus text, snapshots, summarize."""
 
+import gc
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from repro.obs import (
     summarize_dir,
     write_metrics_snapshot,
 )
+from repro.simulator.gcpolicy import campaign_gc
 
 
 class TestJsonlEventLog:
@@ -171,6 +173,33 @@ class TestSummarize:
         assert "Counters" in text
         assert "Gauges" in text
         assert "sim.rounds" in text
+
+    def test_render_summary_gc_section(self, tmp_path):
+        clock = ManualClock()
+        obs = create_observer(tmp_path, clock=clock)
+        with campaign_gc(obs):
+            hook = gc.callbacks[-1]
+            for generation, pause in ((0, 0.004), (2, 0.025)):
+                hook("start", {"generation": generation})
+                clock.advance(pause)
+                hook("stop", {"generation": generation})
+        finalize_observer(obs, tmp_path)
+
+        summary = summarize_dir(tmp_path)
+        assert summary.counters["gc.collections"] >= 2
+        assert summary.counters["gc.collections.gen2"] >= 1
+        # any real collection in the scope lasts 0 s on the manual clock
+        assert summary.histograms["gc.pause"]["total"] == pytest.approx(0.029)
+        assert summary.gauges["gc.pause.max"] == pytest.approx(0.025)
+        text = render_summary(tmp_path)
+        assert "Garbage collection" in text
+        assert "gen-2 collections" in text
+
+    def test_render_summary_without_gc_metrics(self, tmp_path):
+        obs = create_observer(tmp_path, clock=ManualClock())
+        obs.count("sim.rounds")
+        finalize_observer(obs, tmp_path)
+        assert "Garbage collection" not in render_summary(tmp_path)
 
     def test_render_summary_empty_dir(self, tmp_path):
         assert "(no observability data found)" in render_summary(tmp_path)

@@ -1,13 +1,17 @@
 """Integration tests for the full UUSee system on short runs."""
 
+import gc
 import statistics
 
 import pytest
 
 from repro.network import build_default_database
+from repro.obs import NULL_OBSERVER, Observer
 from repro.simulator import SystemConfig, UUSeeSystem
+from repro.simulator.checkpoint import draw_fingerprint
+from repro.simulator.gcpolicy import CAMPAIGN_THRESHOLDS
 from repro.simulator.protocol import ProtocolConfig
-from repro.traces import InMemoryTraceStore
+from repro.traces import InMemoryTraceStore, SegmentedTraceReader, SegmentedTraceStore
 from repro.workloads import FlashCrowdEvent
 
 
@@ -151,3 +155,85 @@ class TestSystemRun:
 def test_unknown_engine_rejected(engine):
     with pytest.raises(ValueError, match="engine"):
         SystemConfig(seed=1, base_concurrency=30.0, engine=engine)
+
+
+def gc_settings():
+    return gc.get_threshold(), gc.get_freeze_count(), len(gc.callbacks)
+
+
+def small_system(obs=NULL_OBSERVER, store=None):
+    config = SystemConfig(seed=3, base_concurrency=40.0, flash_crowd=None)
+    return UUSeeSystem(config, store if store is not None else InMemoryTraceStore(), obs=obs)
+
+
+class TestCampaignGcPolicy:
+    @pytest.fixture(params=["obs-off", "obs-on"])
+    def obs(self, request):
+        return Observer() if request.param == "obs-on" else NULL_OBSERVER
+
+    def test_policy_applies_inside_run_only(self, obs):
+        before = gc_settings()
+        inside = []
+        system = small_system(obs)
+        assert system.run(seconds=1200, on_round=lambda _: inside.append(gc_settings()))
+        assert gc_settings() == before
+        thresholds, frozen, hooks = inside[-1]
+        assert thresholds == CAMPAIGN_THRESHOLDS
+        assert frozen > 0
+        assert hooks == before[2] + (1 if obs.enabled else 0)
+
+    def test_settings_restored_after_stop(self, obs):
+        before = gc_settings()
+        system = small_system(obs)
+        assert system.run(seconds=3600, stop=lambda: True) is False
+        assert system.rounds_completed == 1
+        assert gc_settings() == before
+
+    def test_settings_restored_when_round_raises(self, obs, monkeypatch):
+        def boom(now, dt):
+            raise RuntimeError("round failed")
+
+        before = gc_settings()
+        system = small_system(obs)
+        monkeypatch.setattr(system.exchange, "run_round", boom)
+        with pytest.raises(RuntimeError, match="round failed"):
+            system.run(seconds=3600)
+        assert gc_settings() == before
+
+    def test_callers_freeze_survives_run(self):
+        sentinel = [object()]
+        gc.freeze()
+        try:
+            small_system().run(seconds=1200)
+            assert gc.get_freeze_count() > 0
+            # unfrozen objects land in the oldest generation
+            assert all(o is not sentinel for o in gc.get_objects(generation=2))
+        finally:
+            gc.unfreeze()
+
+    def test_obs_counts_forced_collection(self):
+        obs = Observer()
+        small_system(obs).run(seconds=1200, on_round=lambda _: gc.collect())
+        counters = obs.registry.counters()
+        assert counters["gc.collections"] >= 1
+        assert counters["gc.collections.gen2"] >= 1
+        assert obs.registry.histograms()["gc.pause"].count >= 1
+        assert obs.registry.gauges()["gc.pause.max"] >= 0.0
+
+    def test_collection_timing_reaches_no_output(self, tmp_path):
+        def campaign(name, on_round=None):
+            store = SegmentedTraceStore(tmp_path / name, records_per_segment=50)
+            system = small_system(store=store)
+            system.run(seconds=4 * 3600, on_round=on_round)
+            store.close()
+            paths = SegmentedTraceReader(tmp_path / name).segment_paths()
+            return draw_fingerprint(system), [p.read_bytes() for p in paths]
+
+        collected = campaign("collected", on_round=lambda _: gc.collect())
+        gc.disable()
+        try:
+            uncollected = campaign("uncollected")
+        finally:
+            gc.enable()
+        assert len(collected[1]) > 1
+        assert collected == uncollected

@@ -1,5 +1,8 @@
 """Property-based tests for trace record serialisation."""
 
+import json
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,3 +63,65 @@ def test_active_classification_consistent(report, threshold):
 @given(reports)
 def test_json_is_single_line(report):
     assert "\n" not in report.to_json()
+
+
+def dumps_oracle(report):
+    """``PeerReport.to_json`` as it was written with ``json.dumps``."""
+    obj = {
+        "t": report.time,
+        "ip": report.peer_ip,
+        "ch": report.channel_id,
+        "bf": round(report.buffer_fill, 4),
+        "pp": report.playback_position,
+        "dc": round(report.download_capacity_kbps, 1),
+        "uc": round(report.upload_capacity_kbps, 1),
+        "rr": round(report.recv_rate_kbps, 1),
+        "sr": round(report.sent_rate_kbps, 1),
+        "p": list(map(tuple, report.partners)),
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+#: Every float ``repr`` spells differently: non-finite, signed zero,
+#: subnormal, and past 1e16 (exponent form).
+edge_floats = st.sampled_from(
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1e16,
+        1.2345678901234567e17,
+        -3.5e22,
+        1.7976931348623157e308,
+    ]
+)
+any_floats = st.one_of(edge_floats, st.floats(), st.floats(-1e5, 1e5))
+big_ints = st.integers(-(2**64), 2**64)
+any_partners = st.builds(PartnerRecord, big_ints, big_ints, big_ints, big_ints)
+
+encoder_reports = st.builds(
+    PeerReport,
+    time=st.one_of(any_floats, st.integers(0, 2**64)),
+    peer_ip=big_ints,
+    channel_id=big_ints,
+    buffer_fill=any_floats,
+    playback_position=big_ints,
+    download_capacity_kbps=any_floats,
+    upload_capacity_kbps=any_floats,
+    recv_rate_kbps=any_floats,
+    sent_rate_kbps=any_floats,
+    partners=st.one_of(
+        st.just(()),
+        st.lists(any_partners, min_size=50, max_size=50).map(tuple),
+        st.lists(any_partners, max_size=50).map(tuple),
+    ),
+)
+
+
+@given(encoder_reports)
+def test_to_json_equals_json_dumps(report):
+    assert report.to_json() == dumps_oracle(report)
