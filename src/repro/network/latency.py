@@ -11,10 +11,14 @@ lognormal jitter, and a TCP throughput ceiling that decays with RTT
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from math import cos, exp, log, pi, sin, sqrt
 from typing import NamedTuple
+
+#: ``random.gauss``'s own constant, written the way it defines it.
+_TWOPI = 2.0 * pi
+_new_tuple = tuple.__new__
 
 
 class LinkQuality(NamedTuple):
@@ -79,10 +83,29 @@ class LatencyModel:
     def sample_link(
         self, isp_a: str, isp_b: str, *, a_china: bool = True, b_china: bool = True
     ) -> LinkQuality:
-        """Draw one link's RTT and throughput ceiling."""
+        """Draw one link's RTT and throughput ceiling.
+
+        The two unit normals are one Box–Muller pair, drawn here with
+        exactly the expressions ``random.gauss`` uses (the cosine leg
+        first, then the sine leg it would have cached), so the draws and
+        the generator's ``getstate()`` match two ``gauss`` calls bit for
+        bit.  A pair left half-used by an outside ``gauss`` call is
+        consumed through ``gauss`` itself.
+        """
         median = self.base_rtt(isp_a, isp_b, a_china=a_china, b_china=b_china)
-        gauss = self._rng.gauss
-        rtt = median * math.exp(gauss(0.0, self.rtt_sigma))
-        throughput = self.window_kbits / rtt * math.exp(gauss(0.0, 0.25))
+        rng = self._rng
+        if rng.gauss_next is None:
+            uniform = rng.random
+            x2pi = uniform() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+            rtt = median * exp(0.0 + cos(x2pi) * g2rad * self.rtt_sigma)
+            jitter = exp(0.0 + sin(x2pi) * g2rad * 0.25)
+        else:
+            rtt = median * exp(rng.gauss(0.0, self.rtt_sigma))
+            jitter = exp(rng.gauss(0.0, 0.25))
+        throughput = self.window_kbits / rtt * jitter
         floor = self.min_throughput_kbps
-        return LinkQuality(rtt, throughput if throughput > floor else floor)
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        return _new_tuple(
+            LinkQuality, (rtt, throughput if throughput > floor else floor)
+        )

@@ -165,6 +165,27 @@ def _gc_section(summary: ObsSummary) -> list[str]:
     return ["Garbage collection", _render_table(["gc", "value"], rows), ""]
 
 
+def _checkpoint_section(summary: ObsSummary) -> list[str]:
+    """One line on checkpoint saves (empty when none was recorded).
+
+    Saves, total and longest save come from the ``checkpoint.save`` span
+    events; the size per save from the ``checkpoint.bytes`` counter over
+    the ``checkpoint.save`` histogram's count, both from ``metrics.json``
+    and so restored together on resume.
+    """
+    saves = summary.spans.get("checkpoint.save")
+    if saves is None:
+        return []
+    timed = float(summary.histograms.get("checkpoint.save", {}).get("count", 0.0))
+    written = summary.counters.get("checkpoint.bytes", 0.0)
+    mb_per_save = written / timed / 1e6 if timed else 0.0
+    return [
+        f"Checkpoints: {saves.count} saves, {saves.wall_total:.3f} s total, "
+        f"max {saves.wall_max * 1000:.1f} ms, {mb_per_save:.2f} MB per save",
+        "",
+    ]
+
+
 def render_summary(obs_dir: str | Path) -> str:
     """Render the full human report for ``obs summarize``."""
     summary = summarize_dir(obs_dir)
@@ -180,6 +201,7 @@ def render_summary(obs_dir: str | Path) -> str:
     out.extend(_span_section("Analytics timings", analytics_spans))
     out.extend(_span_section("Other timings", other_spans))
     out.extend(_gc_section(summary))
+    out.extend(_checkpoint_section(summary))
     if summary.counters:
         rows = [[name, f"{value:g}"] for name, value in sorted(summary.counters.items())]
         out.append("Counters")

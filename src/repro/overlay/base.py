@@ -168,18 +168,20 @@ class PartnerPolicy:
     ) -> None:
         """Greedy demand fill over scored candidates (the UUSee loop).
 
-        Sorts by (-score, pid) and admits candidates until the standby
-        demand budget or the active-supplier cap is reached, budgeting
-        each link's contribution at its capped estimate (floored at the
-        useful minimum).  Bit-identical to the pre-extraction inline
-        loop.
+        ``candidates`` holds ``(-score, pid, link)`` tuples, so a native
+        sort ranks them by descending score, ties by pid (unique per
+        peer, so links are never compared).  Admits candidates until the
+        standby demand budget or the active-supplier cap is reached,
+        budgeting each link's contribution at its capped estimate
+        (floored at the useful minimum).  Bit-identical to the
+        pre-extraction inline loop.
         """
         engine = self.engine
         cfg = engine.config
         consts = engine._consts(peer.channel_id)
         demand = consts.demand_standby
         cap = consts.request_cap
-        candidates.sort(key=lambda t: (-t[0], t[1]))
+        candidates.sort()
 
         min_useful = cfg.min_useful_link_kbps
         max_active = cfg.max_active_suppliers
@@ -216,54 +218,54 @@ class PartnerPolicy:
         consts = engine._consts(peer.channel_id)
         demand = consts.demand_standby
         cap = consts.request_cap
+        min_useful = cfg.min_useful_link_kbps
+        max_active = cfg.max_active_suppliers
+        peers_get = engine.peers.get
+        partners = peer.partners
+        suppliers = peer.suppliers
 
         # Drop dead suppliers and those measured below the useful floor.
-        for pid in list(peer.suppliers):
-            other = engine.peers.get(pid)
-            link = peer.partners.get(pid)
-            if other is None or link is None:
-                peer.suppliers.discard(pid)
-            elif link.est_kbps < cfg.min_useful_link_kbps:
-                peer.suppliers.discard(pid)
+        for pid in list(suppliers):
+            link = partners.get(pid)
+            if peers_get(pid) is None or link is None or link.est_kbps < min_useful:
+                suppliers.discard(pid)
 
         # Sorted so the float sum is identical regardless of set-table
         # history (a checkpoint round-trip rebuilds the set and may
         # change raw iteration order).
         expected = sum(
-            min(peer.partners[pid].est_kbps, cap)
-            for pid in sorted(peer.suppliers)
-            if pid in peer.partners
+            min(partners[pid].est_kbps, cap)
+            for pid in sorted(suppliers)
+            if pid in partners
         )
-        if expected >= demand or len(peer.suppliers) >= cfg.max_active_suppliers:
+        if expected >= demand or len(suppliers) >= max_active:
             return
 
         # Try the best of a small random sample of non-supplier partners.
-        non_suppliers = [
-            pid for pid in peer.partners if pid not in peer.suppliers
-        ]
+        non_suppliers = [pid for pid in partners if pid not in suppliers]
         if not non_suppliers:
             return
         if len(non_suppliers) > sample_size:
             pool = engine.rng.sample(non_suppliers, sample_size)
         else:
             pool = non_suppliers
+        refine_score = self.refine_score
         scored: list[tuple[float, int]] = []
         for pid in pool:
-            other = engine.peers.get(pid)
+            other = peers_get(pid)
             if other is None:
                 continue
-            score = self.refine_score(peer, pid, peer.partners[pid], other)
+            score = refine_score(peer, pid, partners[pid], other)
             if score is None:
                 continue
             scored.append((score, pid))
         scored.sort(reverse=True)
         for _, pid in scored:
-            if expected >= demand or len(peer.suppliers) >= cfg.max_active_suppliers:
+            if expected >= demand or len(suppliers) >= max_active:
                 break
-            link = peer.partners[pid]
-            peer.suppliers.add(pid)
-            est = link.est_kbps
-            expected += max(cfg.min_useful_link_kbps, est if est < cap else cap)
+            suppliers.add(pid)
+            est = partners[pid].est_kbps
+            expected += max(min_useful, est if est < cap else cap)
 
     # -- gossip ------------------------------------------------------------
 
@@ -274,7 +276,8 @@ class PartnerPolicy:
         own ISP — which is how recommendations propagate intra-ISP
         structure and close triangles.
         """
-        return sorted(pool, key=lambda pid: helper.partners[pid].rtt_ms)
+        partners = helper.partners
+        return sorted(pool, key=lambda pid: partners[pid].rtt_ms)
 
     # -- checkpoint obligations -------------------------------------------
 

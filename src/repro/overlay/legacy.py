@@ -44,7 +44,7 @@ class UUSeePolicy(PartnerPolicy):
             score = link.est_kbps / link.penalty
             if peer_id in other.suppliers:
                 score *= bonus1
-            candidates.append((score, pid, link))
+            candidates.append((-score, pid, link))
         self._greedy_fill(peer, candidates)
 
 
@@ -68,7 +68,7 @@ class RandomPolicy(PartnerPolicy):
         for pid, link in peer.partners.items():
             if peers_get(pid) is None:
                 continue
-            candidates.append((rng.random(), pid, link))
+            candidates.append((-rng.random(), pid, link))
         self._greedy_fill(peer, candidates)
 
     def refine_score(
@@ -102,7 +102,7 @@ class TreePolicy(PartnerPolicy):
             if other.depth >= peer.depth and not other.is_server:
                 continue
             score = link.est_kbps / link.penalty
-            candidates.append((score, pid, link))
+            candidates.append((-score, pid, link))
         self._greedy_fill(peer, candidates)
 
     def refine_score(

@@ -64,7 +64,7 @@ class LocalityPolicy(PartnerPolicy):
             score = self._blend(peer, pid)
             if score is None:
                 continue
-            candidates.append((score, pid, link))
+            candidates.append((-score, pid, link))
         self._greedy_fill(peer, candidates)
 
     def refine_score(

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.ioutil import atomic_write_bytes
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
+from repro.simulator.gcpolicy import campaign_gc
 from repro.traces.faults import FaultyChannel
 
 if TYPE_CHECKING:
@@ -436,18 +437,31 @@ class CheckpointManager:
         trace store, (2) capture ``len(store)`` as the durable cut,
         (3) write the checkpoint atomically, (4) prune old files.  A
         crash between any two steps leaves a resumable state.
+
+        The whole save is one ``checkpoint.save`` obs span, and the file's
+        size is added to the ``checkpoint.bytes`` counter.  It runs under
+        the campaign GC policy: pickling allocates a tuple per link and
+        frees them all by reference counting, and a final cut taken
+        after ``UUSeeSystem.run`` returns would otherwise pay full
+        collections of the whole heap for them.  Inside a running
+        campaign the scope nests as a no-op, and its pauses are recorded
+        by the campaign's own hook.
         """
-        store = system.trace_server.store
-        inner = store.store if isinstance(store, FaultyChannel) else store
-        sync = getattr(inner, "sync", None) or getattr(inner, "flush", None)
-        if sync is not None:
-            sync()
-        trace_records = len(inner) if hasattr(inner, "__len__") else None
-        state = snapshot_system(
-            system, trace_records=trace_records, scope=self.scope
-        )
-        path = save_checkpoint(self.path_for(system.rounds_completed), state)
-        self._prune()
+        obs = self.obs
+        with obs.span("checkpoint.save"), campaign_gc(NULL_OBSERVER):
+            store = system.trace_server.store
+            inner = store.store if isinstance(store, FaultyChannel) else store
+            sync = getattr(inner, "sync", None) or getattr(inner, "flush", None)
+            if sync is not None:
+                sync()
+            trace_records = len(inner) if hasattr(inner, "__len__") else None
+            state = snapshot_system(
+                system, trace_records=trace_records, scope=self.scope
+            )
+            path = save_checkpoint(self.path_for(system.rounds_completed), state)
+            self._prune()
+        if obs.enabled:
+            obs.count("checkpoint.bytes", path.stat().st_size)
         return path
 
     def latest_valid(self) -> tuple[Path, dict[str, Any]] | None:

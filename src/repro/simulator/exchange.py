@@ -172,16 +172,18 @@ class ExchangeEngine:
         The callee refuses when its partner list is full (servers have a
         higher ceiling since they exist to accept connections).
         """
+        a_id = a.peer_id
         b_id = b.peer_id
         a_partners = a.partners
-        if a.peer_id == b_id or b_id in a_partners:
+        if a_id == b_id or b_id in a_partners:
             return False
         faults = self.faults
         if faults.has_link_faults and faults.link_blocked(a.isp, b.isp, now):
             self.obs.count("faults.link_blocked")
             return False  # TCP handshake cannot cross the partition
+        b_partners = b.partners
         max_partners = self.config.max_partners
-        if len(b.partners) >= max_partners * (4 if b.is_server else 1):
+        if len(b_partners) >= max_partners * (4 if b.is_server else 1):
             return False
         if len(a_partners) >= max_partners:
             return False
@@ -196,12 +198,17 @@ class ExchangeEngine:
         # counts every supplier as contributing at least min_useful, so
         # starting fresh links lower would make peers over-provision past
         # the Fig. 4(B) indegree ceiling.
-        neutral = min(self._consts(a.channel_id).neutral_hi, cap * 0.5)
+        consts = self._channel_consts.get(a.channel_id) or self._consts(a.channel_id)
+        neutral = min(consts.neutral_hi, cap * 0.5)
         penalty = rtt_penalty(rtt)
-        # The caller end was checked above; the callee keeps its guard.
+        # The caller end was checked above; the callee keeps
+        # Peer.add_partner's guard and never overwrites an end it has.
         a_partners[b_id] = Link(rtt, cap, neutral, penalty, now, b.ip)
-        b.add_partner(a.peer_id, Link(rtt, cap, neutral, penalty, now, a.ip))
-        self.obs.count("exchange.connects")
+        if a_id not in b_partners:
+            b_partners[a_id] = Link(rtt, cap, neutral, penalty, now, a.ip)
+        obs = self.obs
+        if obs.enabled:
+            obs.count("exchange.connects")
         return True
 
     def disconnect(self, a: Peer, partner_id: int) -> None:
@@ -317,72 +324,77 @@ class ExchangeEngine:
 
     def maintenance_tick(self, peer: Peer, now: float) -> None:
         """Control-plane work a client does every few minutes."""
-        cfg = self.config
         self.clock = now
         if peer.next_tracker_retry <= now:
             self.tracker_contact(peer, now)
-        self._clean_dead_partners(peer)
-        self._recover_estimates(peer)
-        self._prune_idle_partners(peer, now)
+        self._tend_partners(peer, now)
         self._gossip(peer, now)
         self.refine_suppliers(peer)
         self._update_volunteering(peer, now)
         self._starvation_check(peer, now)
         peer.last_tick = now
 
-    def _clean_dead_partners(self, peer: Peer) -> None:
-        dead = [pid for pid in peer.partners if pid not in self.peers]
-        for pid in dead:
-            peer.remove_partner(pid)
+    def _tend_partners(self, peer: Peer, now: float) -> None:
+        """One walk over the partner list: clean, recover, prune.
 
-    def _recover_estimates(self, peer: Peer) -> None:
-        """Let idle links' estimates drift back toward the request cap.
+        - Partners that left the system are forgotten.
+        - Idle links' estimates drift back toward the request cap.  Peers
+          exchange buffer maps with all partners periodically, so a link
+          measured slow while its supplier was overloaded is eventually
+          re-probed; without recovery, a transiently congested supplier
+          would never be tried again even after it drained.  Recovery
+          stops at the conservative fresh-link level: a link must re-earn
+          a top rank through measured delivery.
+        - TCP connections with no segment flow for a while are closed.
+          This keeps partner counts near the *active* mesh size (the
+          paper's Fig. 4(A) spike at 10-25, far below the initial 50):
+          bootstrap and gossip fan out optimistically, and idle links
+          decay.
 
-        Peers exchange buffer maps with all partners periodically, so a
-        link that was measured slow while its supplier was overloaded is
-        eventually re-probed.  Without recovery, a transiently congested
-        supplier would never be tried again even after it drained.
+        The dead partners are removed first and the idle ones
+        disconnected after, each in partner-list order.
         """
+        peers = self.peers
+        partners = peer.partners
+        suppliers = peer.suppliers
         cap06 = self._consts(peer.channel_id).cap06
-        for link in peer.partners.values():
-            # recover only to the conservative fresh-link level: a link
-            # must re-earn a top rank through measured delivery
-            target = min(cap06, 0.7 * link.cap_kbps)
-            if link.est_kbps < target:
-                link.est_kbps += 0.2 * (target - link.est_kbps)
-
-    def _prune_idle_partners(self, peer: Peer, now: float) -> None:
-        """Close TCP connections with no segment flow for a while.
-
-        This is what keeps partner counts near the *active* mesh size
-        (the paper's Fig. 4(A) spike at 10-25, far below the initial 50):
-        bootstrap and gossip fan out optimistically, and idle links decay.
-        """
         idle_timeout = 1.5 * self.config.report_interval_s
-        victims = []
-        for pid, link in peer.partners.items():
-            if pid in peer.suppliers:
+        dead: list[int] = []
+        victims: list[int] = []
+        for pid, link in partners.items():
+            if pid not in peers:
+                dead.append(pid)
                 continue
-            if now - link.established_at > idle_timeout:
+            target = 0.7 * link.cap_kbps
+            if cap06 < target:
+                target = cap06
+            est = link.est_kbps
+            if est < target:
+                link.est_kbps = est + 0.2 * (target - est)
+            if pid not in suppliers and now - link.established_at > idle_timeout:
                 victims.append(pid)
+        for pid in dead:
+            del partners[pid]
+            suppliers.discard(pid)
         for pid in victims:
             self.disconnect(peer, pid)
 
     def _gossip(self, peer: Peer, now: float) -> None:
         """Ask one partner for recommendations (triadic closure)."""
-        if not peer.partners or peer.is_server:
+        partners = peer.partners
+        if not partners or peer.is_server:
             return
-        alive_partners = [
-            pid for pid in peer.partners if pid in self.peers
-        ]
+        peers = self.peers
+        alive_partners = [pid for pid in partners if pid in peers]
         if not alive_partners:
             return
-        helper_id = self.rng.choice(alive_partners)
-        helper = self.peers[helper_id]
+        rng = self.rng
+        helper = peers[rng.choice(alive_partners)]
+        peer_id = peer.peer_id
         their_ids = [
             pid
             for pid in helper.partners
-            if pid != peer.peer_id and pid not in peer.partners and pid in self.peers
+            if pid != peer_id and pid not in partners and pid in peers
         ]
         if not their_ids:
             return
@@ -392,17 +404,17 @@ class ExchangeEngine:
         # propagate intra-ISP structure and close triangles.
         k = min(self.config.gossip_fanout, len(their_ids))
         pool = (
-            self.rng.sample(their_ids, min(2 * k, len(their_ids)))
+            rng.sample(their_ids, min(2 * k, len(their_ids)))
             if len(their_ids) > 2 * k
             else their_ids
         )
         pool = self.partner_policy.order_gossip_pool(helper, pool)
         for pid in pool[:k]:
-            other = self.peers.get(pid)
+            other = peers.get(pid)
             if other is not None and not other.is_server:
                 self.connect(peer, other, now)
 
-    def _update_volunteering(self, peer: Peer, now: float = 0.0) -> None:
+    def _update_volunteering(self, peer: Peer, now: float) -> None:
         """Inform the tracker when sending throughput is below capacity.
 
         Per the paper this depends only on spare upload capacity; what a
@@ -423,7 +435,7 @@ class ExchangeEngine:
             self.tracker.unvolunteer(peer.channel_id, peer.peer_id)
             peer.volunteered = False
 
-    def _starvation_check(self, peer: Peer, now: float = 0.0) -> None:
+    def _starvation_check(self, peer: Peer, now: float) -> None:
         """Last resort: re-contact the tracker after sustained starvation."""
         if peer.is_server:
             return
@@ -469,6 +481,8 @@ class ExchangeEngine:
             segment_kbit = consts.rate_kbps * segment_seconds
             remaining = consts.demand
             dead: list[int] = []
+            # (-priority, pid, link): sorts natively by descending priority,
+            # ties by pid (unique per peer, so links are never compared).
             supplier_links: list[tuple[float, int, Link]] = []
             partners_get = peer.partners.get
             for pid in peer.suppliers:
@@ -484,10 +498,10 @@ class ExchangeEngine:
                     priority = float(hash((peer.peer_id, pid)) % 1_000_003)
                 else:
                     priority = link.est_kbps / link.penalty
-                supplier_links.append((priority, pid, link))
+                supplier_links.append((-priority, pid, link))
             for pid in dead:
                 peer.suppliers.discard(pid)
-            supplier_links.sort(key=lambda t: (-t[0], t[1]))
+            supplier_links.sort()
             for _, pid, link in supplier_links:
                 if remaining <= 0.0:
                     break
@@ -520,14 +534,13 @@ class ExchangeEngine:
                 continue
             supplier_suppliers = supplier.suppliers
             weights: list[float] = []
+            # Summed in request order, as sum() would.
+            total_weighted = total_requested = 0.0
             for requester, _, req, _ in reqs:
-                weights.append(
-                    req * bonus1
-                    if requester.peer_id in supplier_suppliers
-                    else req
-                )
-            total_weighted = sum(weights)
-            total_requested = sum(r[2] for r in reqs)
+                weight = req * bonus1 if requester.peer_id in supplier_suppliers else req
+                weights.append(weight)
+                total_weighted += weight
+                total_requested += req
             if supplier.is_server:
                 # Origin capacity scales with outages/brownouts: 0 while
                 # offline, fractional while degraded, full otherwise.

@@ -13,7 +13,9 @@ are rare and each one walks only what the run itself allocated.
 The policy changes no output: nothing in the program has a finalizer
 or a weak reference, so when a collection happens cannot reach a random
 draw or a trace byte.  It has no knob: every campaign, whoever starts
-it, runs under the same policy.
+it, runs under the same policy, and so does every
+``CheckpointManager.save`` (inside a campaign the nested scope changes
+nothing; the final cut after a run returns gets the policy too).
 
 When observability is on, each collection is timed through the
 observer's clock seam into a ``gc.pause`` histogram, with the counters

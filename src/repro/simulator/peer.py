@@ -12,6 +12,7 @@ throughput estimate UUSee's selection uses.
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import attrgetter
 
 
@@ -202,9 +203,43 @@ class Peer:
         """Unused upload capacity as of the last exchange round."""
         return max(0.0, self.upload_kbps - self.sent_rate_kbps)
 
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # Checkpoints hold every link of the overlay twice.  The peer packs
+        # its links' slot values with the C-level attrgetter, so pickling
+        # makes no per-link Python call (``Link.__reduce__`` stays for a
+        # lone link).  Checkpoints written before this pickled peers with
+        # the default slots protocol and still load that way.
+        partners = self.partners
+        return (
+            _restore_peer,
+            (
+                _peer_values(self),
+                list(partners),
+                list(map(_slot_values, partners.values())),
+            ),
+        )
+
     def __repr__(self) -> str:  # debugging aid only
         kind = "server" if self.is_server else self.class_name
         return (
             f"Peer({self.peer_id}, {kind}, isp={self.isp!r}, "
             f"ch={self.channel_id}, partners={len(self.partners)})"
         )
+
+
+#: Every Peer slot but ``partners``, which ``Peer.__reduce__`` packs apart.
+_PEER_FIELDS = tuple(name for name in Peer.__slots__ if name != "partners")
+_peer_values = attrgetter(*_PEER_FIELDS)
+
+
+def _restore_peer(
+    values: tuple[object, ...],
+    partner_ids: list[int],
+    links: list[tuple[float | int, ...]],
+) -> Peer:
+    """Rebuild a peer pickled by :meth:`Peer.__reduce__`."""
+    peer = Peer.__new__(Peer)
+    for name, value in zip(_PEER_FIELDS, values):
+        setattr(peer, name, value)
+    peer.partners = dict(zip(partner_ids, starmap(Link, links)))
+    return peer

@@ -58,15 +58,27 @@ class TestLatencyModel:
     def test_sample_link_draws_the_tier_model(self):
         # Bit-exact against the model written out longhand: a lognormal
         # RTT around the tier median, then a jittered, floored 1/RTT ceiling.
+        # The generator's whole state, Box–Muller cache included, must
+        # match after every draw.  A stray gauss() at draw 40 leaves half
+        # a pair pending, so draws 40-79 take the fallback path; the one
+        # at draw 80 consumes it and the fast path resumes.
         model = LatencyModel(seed=9, min_throughput_kbps=60.0)
         twin = random.Random(9)
-        for isp_b, b_china in [("A", True), ("B", True), ("C", False)] * 40:
+        pending = []
+        for i, (isp_b, b_china) in enumerate(
+            [("A", True), ("B", True), ("C", False)] * 40
+        ):
+            if i in (40, 80):
+                assert model._rng.gauss() == twin.gauss()
+            pending.append(model._rng.gauss_next is not None)
             median = model.base_rtt("A", isp_b, a_china=True, b_china=b_china)
             rtt = median * math.exp(twin.gauss(0.0, model.rtt_sigma))
             throughput = model.window_kbits / rtt
             throughput *= math.exp(twin.gauss(0.0, 0.25))
             expected = LinkQuality(rtt, max(60.0, throughput))
             assert model.sample_link("A", isp_b, b_china=b_china) == expected
+            assert model._rng.getstate() == twin.getstate()
+        assert pending == [False] * 40 + [True] * 40 + [False] * 40
 
     def test_rtt_jitter_positive(self):
         model = LatencyModel(seed=3)

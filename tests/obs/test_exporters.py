@@ -201,5 +201,25 @@ class TestSummarize:
         finalize_observer(obs, tmp_path)
         assert "Garbage collection" not in render_summary(tmp_path)
 
+    def test_render_summary_checkpoint_line(self, tmp_path):
+        clock = ManualClock()
+        obs = create_observer(tmp_path, clock=clock)
+        for wall, size in ((0.010, 1_000_000), (0.025, 2_000_000)):
+            with obs.span("checkpoint.save"):
+                clock.advance(wall)
+            obs.count("checkpoint.bytes", size)
+        finalize_observer(obs, tmp_path)
+        text = render_summary(tmp_path)
+        assert (
+            "Checkpoints: 2 saves, 0.035 s total, max 25.0 ms, 1.50 MB per save"
+            in text
+        )
+
+    def test_render_summary_without_checkpoints(self, tmp_path):
+        obs = create_observer(tmp_path, clock=ManualClock())
+        obs.count("sim.rounds")
+        finalize_observer(obs, tmp_path)
+        assert "Checkpoints" not in render_summary(tmp_path)
+
     def test_render_summary_empty_dir(self, tmp_path):
         assert "(no observability data found)" in render_summary(tmp_path)

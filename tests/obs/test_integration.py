@@ -152,3 +152,17 @@ class TestCampaignEventLog:
         assert "round.exchange" in text
         assert "campaign.run" in text
         assert "Counters" in text
+
+    def test_checkpoint_saves_are_spans_with_their_bytes(self, obs_campaign):
+        events, _ = read_events(obs_campaign / "events.jsonl")
+        spans = [e for e in events if e.get("name") == "checkpoint.save"]
+        state = json.loads((obs_campaign / "metrics.json").read_text())
+        # rounds 5, 10 and 15, then the final cut (rewriting round 15's)
+        assert len(spans) == state["histograms"]["checkpoint.save"]["count"] == 4
+        kept = (obs_campaign.parent / "trace" / "checkpoints").iterdir()
+        assert state["counters"]["checkpoint.bytes"] > sum(
+            path.stat().st_size for path in kept
+        )
+        # host timings, like the GC metrics: never a resume-checked counter
+        assert "checkpoint.bytes" not in DETERMINISTIC_COUNTERS
+        assert "Checkpoints: 4 saves" in render_summary(obs_campaign)

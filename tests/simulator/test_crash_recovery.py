@@ -25,11 +25,14 @@ from repro.simulator import (
     CheckpointManager,
     SystemConfig,
     UUSeeSystem,
+    draw_fingerprint,
     load_checkpoint,
     restore_into,
     snapshot_system,
 )
+from repro.simulator.checkpoint import MAGIC, VERSION
 from repro.traces import SegmentedTraceReader, SegmentedTraceStore
+from tests.simulator.test_peer import legacy_peer_pickle
 
 SEED = 2006
 BASE = 60.0
@@ -138,6 +141,34 @@ class TestKillBetweenCheckpoints:
 
         assert audit_a.snapshot() == audit_b.snapshot()
         assert content_sha(twin_a) == content_sha(twin_b)
+
+
+def rewrite_with_legacy_peers(path):
+    """Re-encode a checkpoint file the way checkpoints were written before
+    ``Peer.__reduce__``: every peer in the default slots protocol."""
+    payload = legacy_peer_pickle(load_checkpoint(path))
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"{MAGIC.decode()} {VERSION} {digest} {len(payload)}\n".encode()
+    path.write_bytes(header + payload)
+    return payload
+
+
+class TestPeerLevelLinkPickling:
+    @pytest.mark.parametrize("legacy_peers", [False, True])
+    def test_mid_campaign_resume_ends_on_uninterrupted_state(
+        self, tmp_path, legacy_peers
+    ):
+        twin_a, twin_b = tmp_path / "a", tmp_path / "b"
+        a_system, _ = run_uninterrupted(twin_a)
+        _, _, manager = run_until_killed(twin_b, tmp_path / "ckpt", kill_after=11)
+        newest = manager.checkpoints()[-1]
+        if legacy_peers:
+            payload = rewrite_with_legacy_peers(newest)
+            assert b"suppliers" in payload  # really the old slot-dict form
+        b_system, _ = resume_and_finish(twin_b, tmp_path / "ckpt")
+        assert b_system.rounds_completed == TOTAL_ROUNDS
+        assert draw_fingerprint(b_system) == draw_fingerprint(a_system)
+        assert per_file_shas(twin_a) == per_file_shas(twin_b)
 
 
 class TestKillMidCheckpoint:
@@ -310,6 +341,23 @@ class TestCheckpointEnvelope:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
+
+
+class TestSaveAccounting:
+    def test_each_save_is_a_span_and_counts_its_bytes(self, tmp_path):
+        from repro.obs import Observer
+
+        obs = Observer()
+        system, store = fresh_system(tmp_path / "b")
+        manager = CheckpointManager(tmp_path / "ckpt", obs=obs)
+        paths = []
+        for _ in range(2):
+            system.run(seconds=2 * ROUND)
+            paths.append(manager.save(system))
+        store.close()
+        assert obs.registry.histogram("checkpoint.save").count == 2
+        written = sum(path.stat().st_size for path in paths)
+        assert obs.registry.counter("checkpoint.bytes").value == written
 
 
 class TestCorruptSkipAccounting:

@@ -1,5 +1,7 @@
 """Behavioural tests for the exchange engine on handcrafted scenarios."""
 
+import random
+
 import pytest
 
 from repro.network.latency import LatencyModel, LinkQuality
@@ -322,7 +324,66 @@ class TestRound:
         assert a.suppliers == set()
 
 
+def three_step_tend(ex, peer, now):
+    """The clean / recover / prune helpers the fused pass replaced, longhand."""
+    for pid in [pid for pid in peer.partners if pid not in ex.peers]:
+        peer.remove_partner(pid)
+    cap06 = ex._consts(peer.channel_id).cap06
+    for link in peer.partners.values():
+        target = min(cap06, 0.7 * link.cap_kbps)
+        if link.est_kbps < target:
+            link.est_kbps += 0.2 * (target - link.est_kbps)
+    idle_timeout = 1.5 * ex.config.report_interval_s
+    victims = [
+        pid
+        for pid, link in peer.partners.items()
+        if pid not in peer.suppliers and now - link.established_at > idle_timeout
+    ]
+    for pid in victims:
+        ex.disconnect(peer, pid)
+
+
+def churned_world(seed):
+    """Random mesh with dead partners, suppliers, stale and slow links."""
+    peers, _, ex = make_world(seed=seed)
+    rng = random.Random(seed)
+    for pid in range(40):
+        make_peer(peers, pid, isp=rng.choice(["China Telecom", "China Netcom"]))
+    for _ in range(400):
+        a, b = rng.sample(range(40), 2)
+        ex.connect(peers[a], peers[b], now=rng.uniform(0.0, 3_000.0))
+    for peer in peers.values():
+        peer.suppliers = {pid for pid in peer.partners if rng.random() < 0.3}
+        for link in peer.partners.values():
+            link.est_kbps *= rng.choice([0.05, 1.0, 3.0])
+    for pid in rng.sample(range(40), 8):
+        del peers[pid]
+    return peers, ex
+
+
+def world_state(peers):
+    return {
+        pid: (
+            [(q, link.est_kbps, link.established_at) for q, link in peer.partners.items()],
+            sorted(peer.suppliers),
+        )
+        for pid, peer in peers.items()
+    }
+
+
 class TestMaintenance:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fused_pass_matches_three_step_sequence(self, seed):
+        fused_peers, fused = churned_world(seed)
+        ref_peers, ref = churned_world(seed)
+        assert world_state(fused_peers) == world_state(ref_peers)
+        now = 1.5 * fused.config.report_interval_s + 1_500.0
+        for pid in list(fused_peers):
+            fused._tend_partners(fused_peers[pid], now)
+            three_step_tend(ref, ref_peers[pid], now)
+        assert world_state(fused_peers) == world_state(ref_peers)
+        assert world_state(fused_peers) != world_state(churned_world(seed)[0])
+
     def test_gossip_adds_partner_of_partner(self):
         peers, _, ex = make_world()
         a = make_peer(peers, 1)
@@ -339,7 +400,7 @@ class TestMaintenance:
         b = make_peer(peers, 2)
         ex.connect(a, b, 0.0)
         idle_deadline = 1.5 * ex.config.report_interval_s + 1
-        ex._prune_idle_partners(a, idle_deadline)
+        ex._tend_partners(a, idle_deadline)
         assert 2 not in a.partners
         assert 1 not in b.partners
 
@@ -349,7 +410,7 @@ class TestMaintenance:
         b = make_peer(peers, 2)
         ex.connect(a, b, 0.0)
         a.suppliers = {2}
-        ex._prune_idle_partners(a, 10_000.0)
+        ex._tend_partners(a, 10_000.0)
         assert 2 in a.partners
 
     def test_clean_dead_partners(self):
@@ -358,17 +419,17 @@ class TestMaintenance:
         b = make_peer(peers, 2)
         ex.connect(a, b, 0.0)
         del peers[2]
-        ex._clean_dead_partners(a)
+        ex._tend_partners(a, 0.0)
         assert a.partner_count == 0
 
     def test_volunteering_tracks_spare_capacity(self):
         peers, tracker, ex = make_world()
         a = make_peer(peers, 1, upload=1_000.0)
         a.sent_rate_kbps = 0.0
-        ex._update_volunteering(a)
+        ex._update_volunteering(a, 0.0)
         assert a.volunteered and tracker.volunteer_count(0) == 1
         a.sent_rate_kbps = 990.0  # saturated now
-        ex._update_volunteering(a)
+        ex._update_volunteering(a, 0.0)
         assert not a.volunteered and tracker.volunteer_count(0) == 0
 
     def test_starvation_triggers_tracker_refresh(self):
@@ -380,7 +441,7 @@ class TestMaintenance:
         a.registered = True  # admitted normally; starvation should refresh
         before = tracker.refresh_requests
         for _ in range(ex.config.starvation_ticks):
-            ex._starvation_check(a)
+            ex._starvation_check(a, 0.0)
         assert tracker.refresh_requests == before + 1
         assert 9 in a.partners
 
@@ -391,11 +452,11 @@ class TestMaintenance:
         ex.connect(a, b, 0.0)
         link = a.partners[2]
         link.est_kbps = 5.0
-        ex._recover_estimates(a)
+        ex._tend_partners(a, 0.0)
         assert link.est_kbps > 5.0
         target = min(
             ex.config.request_cap_kbps(RATE), 0.7 * link.cap_kbps
         )
         for _ in range(100):
-            ex._recover_estimates(a)
+            ex._tend_partners(a, 0.0)
         assert link.est_kbps <= target + 1e-6

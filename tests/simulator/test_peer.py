@@ -58,6 +58,50 @@ def legacy_pickle(link, drop=()):
     return buf.getvalue()
 
 
+def peer_values(peer):
+    """Every slot but ``partners``, plus the partner list as
+    ``(pid, every link slot)`` pairs in partner order."""
+    values = {name: getattr(peer, name) for name in Peer.__slots__}
+    partners = values.pop("partners")
+    links = [(pid, slot_values(link)) for pid, link in partners.items()]
+    return values, links
+
+
+def legacy_peer_pickle(obj):
+    """Pickle ``obj`` as checkpoints did before ``Peer.__reduce__``: every
+    ``Peer`` in the default slots protocol, its links by ``Link.__reduce__``."""
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is Peer:
+                slots = {name: getattr(value, name) for name in Peer.__slots__}
+                return (copyreg.__newobj__, (Peer,), (None, slots))
+            return NotImplemented
+
+    buf = io.BytesIO()
+    LegacyPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buf.getvalue()
+
+
+def busy_peer():
+    """A peer with counters, suppliers and partners inserted out of order."""
+    peer = make_peer(7, is_china=False, isp="Overseas")
+    for n, pid in enumerate([31, 4, 19, 8]):
+        link = make_link(
+            rtt_ms=20.0 + n, penalty=rtt_penalty(20.0 + n), partner_ip=500 + pid
+        )
+        link.sent_segments, link.recv_segments = 3.5 * n, 2.25 * n
+        link.reported_sent, link.reported_recv = 1.0 * n, 0.5 * n
+        peer.add_partner(pid, link)
+    peer.remove_partner(19)
+    peer.add_partner(19, make_link(partner_ip=519))  # re-added: now last
+    peer.suppliers = {4, 31}
+    peer.health, peer.buffer_fill = 0.75, 0.5
+    peer.next_report, peer.next_tracker_retry = 1234.0, 99.5
+    peer.registered, peer.volunteered, peer.depth = True, True, 3
+    return peer
+
+
 class TestLink:
     def test_partner_ip_recorded(self):
         link = make_link(partner_ip=42)
@@ -136,6 +180,28 @@ class TestPeer:
     def test_repr_mentions_kind(self):
         assert "cable" in repr(make_peer())
         assert "server" in repr(make_peer(is_server=True))
+
+    def test_legacy_slots_pickle_restores(self):
+        peer = busy_peer()
+        blob = legacy_peer_pickle(peer)
+        assert b"suppliers" in blob  # slot names: the old protocol's dict
+        clone = pickle.loads(blob)
+        assert type(clone) is Peer
+        assert peer_values(clone) == peer_values(peer)
+        assert list(clone.partners) == [31, 4, 8, 19]
+        assert clone.suppliers == {4, 31}
+
+    def test_pickle_roundtrip_is_lossless(self):
+        peer = busy_peer()
+        blob = pickle.dumps(peer, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"suppliers" not in blob  # positional, not a slot dict
+        clone = pickle.loads(blob)
+        assert type(clone) is Peer
+        assert peer_values(clone) == peer_values(peer)
+        assert list(clone.partners) == [31, 4, 8, 19]
+        assert all(type(link) is Link for link in clone.partners.values())
+        # Smaller than the old format, which carries every slot name.
+        assert len(blob) < len(legacy_peer_pickle(peer))
 
     def test_initial_report_schedule_unset(self):
         peer = make_peer()

@@ -8,7 +8,8 @@ import pytest
 from repro.network import build_default_database
 from repro.obs import NULL_OBSERVER, Observer
 from repro.simulator import SystemConfig, UUSeeSystem
-from repro.simulator.checkpoint import draw_fingerprint
+from repro.simulator import checkpoint
+from repro.simulator.checkpoint import CheckpointManager, draw_fingerprint
 from repro.simulator.gcpolicy import CAMPAIGN_THRESHOLDS
 from repro.simulator.protocol import ProtocolConfig
 from repro.traces import InMemoryTraceStore, SegmentedTraceReader, SegmentedTraceStore
@@ -199,6 +200,32 @@ class TestCampaignGcPolicy:
         with pytest.raises(RuntimeError, match="round failed"):
             system.run(seconds=3600)
         assert gc_settings() == before
+
+    def test_checkpoint_saves_run_under_the_policy(self, obs, tmp_path, monkeypatch):
+        before = gc_settings()
+        system = small_system(obs)
+        system.run(seconds=1200)
+        manager = CheckpointManager(tmp_path / "ckpt", obs=obs)
+        inside = []
+        snapshot = checkpoint.snapshot_system
+
+        def spy(*args, **kwargs):
+            inside.append(gc_settings())
+            return snapshot(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "snapshot_system", spy)
+        manager.save(system)  # a final cut, after the run returned
+        assert gc_settings() == before
+        system.run(seconds=1200, checkpoint=manager, checkpoint_every_rounds=1)
+        assert gc_settings() == before
+        alone, *nested = inside
+        assert alone == (CAMPAIGN_THRESHOLDS, alone[1], before[2])  # no pause hook
+        assert alone[1] > 0
+        # nested in a run: the run's scope, with only the run's own hook
+        assert len(nested) == 2
+        for thresholds, frozen, hooks in nested:
+            assert thresholds == CAMPAIGN_THRESHOLDS and frozen > 0
+            assert hooks == before[2] + (1 if obs.enabled else 0)
 
     def test_callers_freeze_survives_run(self):
         sentinel = [object()]
