@@ -33,16 +33,6 @@ BENCH_SEED = 2006
 #: partner-selection policy spec driving the flagship trace
 #: (NAME[:key=val,...] from the overlay registry)
 BENCH_POLICY = os.environ.get("REPRO_BENCH_POLICY", "uusee")
-#: windowed-structure analytics mode (incremental | full) for the
-#: benchmarks that honour it; recorded in BENCH_report.json so runs on
-#: different modes are never compared as like-for-like
-BENCH_ANALYTICS = os.environ.get("REPRO_BENCH_ANALYTICS", "incremental")
-#: process count for the parallel-analytics benchmarks; capped at the
-#: host's core count — on a single-core box pool fan-out only adds
-#: overhead, so the parallel benchmark degrades to the serial path
-BENCH_WORKERS = int(
-    os.environ.get("REPRO_BENCH_WORKERS", str(min(4, os.cpu_count() or 1)))
-)
 
 DAY = 86_400.0
 HOUR = 3_600.0
@@ -216,8 +206,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "peers": BENCH_BASE,
             "seed": BENCH_SEED,
             "policy": _policy_info(BENCH_POLICY),
-            "analytics": BENCH_ANALYTICS,
-            "workers": BENCH_WORKERS,
             "git_sha": _git_sha(),
         },
         "exitstatus": int(exitstatus),

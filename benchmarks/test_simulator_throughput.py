@@ -6,7 +6,6 @@ cost.  Reported as rounds (of 600 simulated seconds at ~300 concurrent
 peers) per benchmark iteration.
 """
 
-from benchmarks.conftest import BENCH_WORKERS
 from repro.obs import NULL_OBSERVER, Observer
 from repro.simulator import SystemConfig, UUSeeSystem
 from repro.traces import InMemoryTraceStore
@@ -51,8 +50,8 @@ def test_simulation_round_throughput_observed(benchmark):
 def _analytics_workload():
     """A multi-window trace plus the full Sec. 4 metric table.
 
-    Metrics are module-level functions / partials so the same dict can
-    be evaluated serially or fanned out over worker processes.
+    Every window is snapshotted and evaluated on every metric: the cost
+    of the snapshot path of ``repro analyze``.
     """
     from functools import partial
 
@@ -86,32 +85,14 @@ def _check_series(series) -> None:
     assert all(r.all_links > 0 for r in series.column("reciprocity")[5:])
 
 
-def test_snapshot_analytics_throughput(benchmark):
-    """Windowed analytics fan-out: snapshot + all Sec. 4 metrics per
-    window, evaluated on ``REPRO_BENCH_WORKERS`` processes (default 4).
-
-    BENCH_report.json derives the per-window time from this mean and the
-    window count; the serial twin below is the speedup denominator.
-    """
-    from repro.core.timeseries import observe
-
-    reports, metrics = _analytics_workload()
-
-    def analyze():
-        return observe(reports, metrics, workers=BENCH_WORKERS)
-
-    series = benchmark.pedantic(analyze, rounds=3, iterations=1)
-    _check_series(series)
-
-
 def test_snapshot_analytics_throughput_serial(benchmark):
-    """Same workload on one process: the parallel speedup denominator."""
+    """Windowed analytics: snapshot + all Sec. 4 metrics per window."""
     from repro.core.timeseries import observe
 
     reports, metrics = _analytics_workload()
 
     def analyze():
-        return observe(reports, metrics, workers=1)
+        return observe(reports, metrics)
 
     series = benchmark.pedantic(analyze, rounds=3, iterations=1)
     _check_series(series)

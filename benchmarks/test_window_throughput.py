@@ -6,18 +6,19 @@
   plane does comparable work per round and would otherwise drown the
   quantity under test.
 - windowed structure analytics (degree histograms, reciprocity,
-  clustering) recomputed per window vs maintained incrementally from
-  edge deltas (target >= 2x), on a 12-hour ~700-peer trace.  The pair is
-  kept adjacent so every BENCH_report.json carries both sides of the
-  ratio.
+  clustering) recomputed per window by the snapshot kernels (the test
+  oracle) vs maintained incrementally from edge deltas by
+  ``windowed_structure`` (the product path), on a 12-hour ~700-peer
+  trace.  The pair is kept adjacent so every BENCH_report.json carries
+  both sides of the ratio.
 
 Ratios are derived from the report, not asserted here: wall-clock on a
 shared box is too noisy for a hard gate, and ``baseline.json`` already
 flags regressions run-over-run.
 """
 
-from benchmarks.conftest import BENCH_ANALYTICS
-from repro.core.experiments import windowed_structure
+from repro.core.experiments import WINDOW_STRUCTURE_METRICS, windowed_structure
+from repro.core.timeseries import observe
 from repro.simulator import SystemConfig, UUSeeSystem
 from repro.traces import InMemoryTraceStore
 
@@ -66,7 +67,7 @@ def test_window_structure_full(benchmark):
     reports = _window_trace()
 
     def analyze():
-        return windowed_structure(reports, mode="full")
+        return observe(reports, WINDOW_STRUCTURE_METRICS)
 
     _check_series(benchmark.pedantic(analyze, rounds=3, iterations=1))
 
@@ -75,20 +76,7 @@ def test_window_structure_incremental(benchmark):
     reports = _window_trace()
 
     def analyze():
-        return windowed_structure(reports, mode="incremental")
+        return windowed_structure(reports)
 
     _check_series(benchmark.pedantic(analyze, rounds=3, iterations=1))
 
-
-def test_window_structure_configured_mode(benchmark):
-    """The mode selected by REPRO_BENCH_ANALYTICS (default incremental).
-
-    This is the row dashboards track over time; the explicit pair above
-    exists to measure the ratio regardless of the configured mode.
-    """
-    reports = _window_trace()
-
-    def analyze():
-        return windowed_structure(reports, mode=BENCH_ANALYTICS)
-
-    _check_series(benchmark.pedantic(analyze, rounds=3, iterations=1))

@@ -227,13 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which figure to regenerate ('windows' is the incremental "
         "per-window structure series; not part of 'all')",
     )
-    ana.add_argument(
-        "--analytics",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="backend for --figure windows: delta-maintained state or "
-        "per-window snapshot kernels (identical output)",
-    )
     ana.add_argument("--csv-dir", type=Path, help="also export series as CSV")
     ana.add_argument(
         "--tolerant",
@@ -249,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--obs-dir", type=Path,
         help="record per-metric analytics timings into this directory",
-    )
-    ana.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="evaluate snapshot windows on N worker processes "
-        "(output is byte-identical to --workers 1)",
     )
 
     info = sub.add_parser("info", help="summarise a trace")
@@ -771,10 +759,8 @@ def _render_fig8(csv_dir, result):
     return {"columns": ["t_hours", "rho_all", "rho_intra", "rho_inter"], "rows": rows}
 
 
-def _analyze_windows(trace, csv_dir, obs, workers=1, analytics="incremental"):
-    series = ex.windowed_structure(
-        trace, mode=analytics, workers=workers, obs=obs
-    )
+def _analyze_windows(trace, csv_dir, obs):
+    series = ex.windowed_structure(trace, obs=obs)
     rows = [
         [
             t / 3600.0,
@@ -793,7 +779,7 @@ def _analyze_windows(trace, csv_dir, obs, workers=1, analytics="incremental"):
     print(format_table(
         ["t_hours", "peers", "mean partners", "rho", "C"],
         rows,
-        title=f"per-window structure ({analytics})",
+        title="per-window structure (incremental)",
     ))
     if csv_dir:
         write_csv(
@@ -804,7 +790,7 @@ def _analyze_windows(trace, csv_dir, obs, workers=1, analytics="incremental"):
     return {
         "columns": ["t_hours", "peers", "mean_partners", "rho", "C"],
         "rows": rows,
-        "analytics": analytics,
+        "analytics": "incremental",
     }
 
 
@@ -897,9 +883,7 @@ def _print_campaign_health(trace_path: Path) -> None:
     ))
 
 
-def _run_figures(
-    trace, figures, csv_dir, obs, workers=1, analytics="incremental"
-) -> dict[str, object]:
+def _run_figures(trace, figures, csv_dir, obs) -> dict[str, object]:
     """Chart ``figures``: every paper figure from one shared trace pass.
 
     A figure whose result cannot be made (Fig. 4 on a trace too short
@@ -912,18 +896,13 @@ def _run_figures(
         for i, plan in enumerate(_FIGURES[fig][0]())
     }
     series = sample_trace(
-        trace,
-        {key: plan.sampling for key, plan in plans.items()},
-        workers=workers,
-        obs=obs,
+        trace, {key: plan.sampling for key, plan in plans.items()}, obs=obs
     ) if plans else {}
     payloads: dict[str, object] = {}
     for fig in figures:
         try:
             if fig == "windows":
-                payloads[fig] = _analyze_windows(
-                    trace, csv_dir, obs, workers, analytics
-                )
+                payloads[fig] = _analyze_windows(trace, csv_dir, obs)
             else:
                 results = [
                     plan.finish(series[key])
@@ -944,9 +923,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.trace.exists():
         print(f"error: no such trace: {args.trace}", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     trace = SegmentedTraceReader(args.trace, tolerant=args.tolerant)
     figures = FIGURES if args.figure == "all" else (args.figure,)
     if args.csv_dir:
@@ -955,10 +931,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         if args.json:
             with contextlib.redirect_stdout(io.StringIO()):
-                payloads = _run_figures(
-                    trace, figures, args.csv_dir, obs, args.workers,
-                    args.analytics,
-                )
+                payloads = _run_figures(trace, figures, args.csv_dir, obs)
             doc: dict[str, object] = {"trace": str(args.trace), "figures": payloads}
             if args.tolerant:
                 doc["trace_health"] = dataclasses.asdict(trace.health)
@@ -967,10 +940,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 doc["campaign_health"] = campaign_health
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
-            _run_figures(
-                trace, figures, args.csv_dir, obs, args.workers,
-                args.analytics,
-            )
+            _run_figures(trace, figures, args.csv_dir, obs)
             if args.tolerant:
                 print(format_trace_health(trace.health, title=f"trace health {args.trace}"))
             _print_campaign_health(args.trace)

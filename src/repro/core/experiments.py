@@ -43,7 +43,6 @@ from repro.core.timeseries import (
     MetricFn,
     Sampling,
     SnapshotSeries,
-    observe,
     sample_trace,
 )
 from repro.graph.degree import DegreeDistribution
@@ -429,7 +428,6 @@ class FigurePlan(Generic[R]):
         trace: Iterable[PeerReport],
         *,
         window_seconds: float = 600.0,
-        workers: int = 1,
         obs: AnyObserver = NULL_OBSERVER,
     ) -> R:
         """This figure alone, from one pass over ``trace``."""
@@ -437,7 +435,6 @@ class FigurePlan(Generic[R]):
             trace,
             {None: self.sampling},
             window_seconds=window_seconds,
-            workers=workers,
             obs=obs,
         )
         return self.finish(series[None])
@@ -515,12 +512,11 @@ def fig1_scale(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig1Result:
     """Fig. 1: simultaneous peer counts and daily distinct IPs."""
     return fig1_plan(observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, workers=workers, obs=obs
+        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -557,12 +553,11 @@ def fig2_isp_shares(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 6 * SECONDS_PER_HOUR,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> dict[str, float]:
     """Fig. 2: peer shares per ISP, averaged over sampled snapshots."""
     return fig2_plan(db, observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, workers=workers, obs=obs
+        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -623,7 +618,6 @@ def fig3_streaming_quality(
     stream_rate_kbps: float = 400.0,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig3Result:
     """Fig. 3: fraction of peers with receiving rate >= 90% of the rate."""
@@ -632,7 +626,7 @@ def fig3_streaming_quality(
         stream_rate_kbps=stream_rate_kbps,
         observe_every=observe_every,
     )
-    return plan.chart(trace, window_seconds=window_seconds, workers=workers, obs=obs)
+    return plan.chart(trace, window_seconds=window_seconds, obs=obs)
 
 
 # ------------------------------------------------------------------ Fig. 4
@@ -735,12 +729,11 @@ def fig5_degree_evolution(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig5Result:
     """Fig. 5: evolution of mean partner count and active in/outdegree."""
     return fig5_plan(observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, workers=workers, obs=obs
+        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -791,12 +784,11 @@ def fig6_intra_isp_degrees(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig6Result:
     """Fig. 6: average intra-ISP proportion of active degrees over time."""
     return fig6_plan(db, observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, workers=workers, obs=obs
+        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -860,7 +852,6 @@ def fig7_small_world(
     window_seconds: float = 600.0,
     observe_every: float = 6 * SECONDS_PER_HOUR,
     seed: int = 0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig7Result:
     """Fig. 7: C and L of the stable-peer graph vs matched random graphs.
@@ -868,7 +859,7 @@ def fig7_small_world(
     Pass ``isp='China Netcom'`` for the Fig. 7(B) ISP subgraph variant.
     """
     plan = fig7_plan(isp=isp, db=db, observe_every=observe_every, seed=seed)
-    return plan.chart(trace, window_seconds=window_seconds, workers=workers, obs=obs)
+    return plan.chart(trace, window_seconds=window_seconds, obs=obs)
 
 
 # ------------------------------------------------------------------ Fig. 8
@@ -919,12 +910,11 @@ def fig8_reciprocity(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig8Result:
     """Fig. 8: Garlaschelli-Loffredo reciprocity, global and ISP-split."""
     return fig8_plan(db, observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, workers=workers, obs=obs
+        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -947,8 +937,8 @@ def _window_clustering(snapshot: TopologySnapshot) -> float:
     return average_clustering(snapshot.stable_undirected_compact())
 
 
-#: The per-window structural metrics the incremental backend maintains,
-#: as snapshot-kernel functions for the full (recompute) backend.
+#: The per-window structural metrics :func:`windowed_structure` maintains
+#: incrementally, as the snapshot kernels that are its test oracle.
 WINDOW_STRUCTURE_METRICS: dict[str, MetricFn] = {
     "degrees": _window_degrees,
     "reciprocity": _window_reciprocity,
@@ -959,47 +949,41 @@ WINDOW_STRUCTURE_METRICS: dict[str, MetricFn] = {
 def windowed_structure(
     trace: Iterable[PeerReport],
     *,
-    mode: str = "incremental",
     window_seconds: float = 600.0,
     observe_every: float | None = None,
     active_threshold: int = 10,
-    resync_every: int = 64,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> SnapshotSeries:
     """Per-window degree/reciprocity/clustering series over a trace.
 
-    ``mode="incremental"`` streams the trace through
-    :class:`repro.soa.incremental.IncrementalWindowMetrics`, updating
-    delta-maintained state per window; ``mode="full"`` recomputes each
-    window's snapshot and runs the CSR kernels.  Both produce the same
-    series bit for bit — the incremental backend exists purely for
-    throughput.  ``workers`` only applies to ``mode="full"`` (the
-    incremental state is inherently serial); ``resync_every`` only to
-    ``mode="incremental"``.
+    One :class:`~repro.soa.incremental.IncrementalWindowMetrics` rides a
+    :func:`~repro.core.timeseries.sample_trace` pass as its
+    ``on_window`` consumer: the delta-maintained state advances on every
+    window and yields a row on each window starting on a multiple of
+    ``observe_every`` (default: every window).  The rows equal
+    :func:`~repro.core.timeseries.observe` with
+    :data:`WINDOW_STRUCTURE_METRICS` bit for bit; no snapshot is built.
     """
-    if mode == "incremental":
-        from repro.soa.incremental import observe_incremental
+    from repro.soa.incremental import IncrementalWindowMetrics
 
-        return observe_incremental(
-            trace,
-            window_seconds=window_seconds,
-            observe_every=observe_every,
-            active_threshold=active_threshold,
-            resync_every=resync_every,
-            obs=obs,
-        )
-    if mode == "full":
-        return observe(
-            trace,
-            WINDOW_STRUCTURE_METRICS,
-            window_seconds=window_seconds,
-            observe_every=observe_every,
-            active_threshold=active_threshold,
-            workers=workers,
-            obs=obs,
-        )
-    raise ValueError(f"unknown analytics mode {mode!r} (incremental|full)")
+    state = IncrementalWindowMetrics(active_threshold=active_threshold)
+
+    def advance(window_reports: list[PeerReport]) -> dict[str, object]:
+        with obs.span("analytics.incremental_window"):
+            row = state.update(window_reports)
+        if obs.enabled:
+            obs.count("analytics.incremental_windows")
+        return row
+
+    every = window_seconds if observe_every is None else observe_every
+    sampling = Sampling({}, every=every, on_window=advance)
+    return sample_trace(
+        trace,
+        {None: sampling},
+        window_seconds=window_seconds,
+        active_threshold=active_threshold,
+        obs=obs,
+    )[None]
 
 
 # -------------------------------------------------- overlay comparison

@@ -33,23 +33,19 @@ float finalisation then evaluates *exactly* the kernels' expressions in
 ``resync_every`` bounds the defensive surface: every N processed
 windows the state is recomputed from scratch from the current window
 (the integers are provably stable, but a full resync keeps any future
-maintenance bug from persisting silently).  ``observe_incremental`` is
-the drop-in driver mirroring :func:`repro.core.timeseries.observe`.
+maintenance bug from persisting silently).  The driver is
+:func:`repro.core.experiments.windowed_structure`, which advances one
+instance per window of a shared :func:`repro.core.timeseries.sample_trace`
+pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 from repro.core.metrics import _rho
 from repro.graph.degree import DegreeDistribution
-from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.traces.records import PeerReport
-from repro.traces.store import iter_windows
-
-if TYPE_CHECKING:
-    from repro.core.timeseries import SnapshotSeries
 
 Edge = tuple[int, int]
 
@@ -335,45 +331,3 @@ class IncrementalWindowMetrics:
             return 0.0
         return total / counted
 
-
-def observe_incremental(
-    reports: Iterable[PeerReport],
-    *,
-    window_seconds: float = 600.0,
-    observe_every: float | None = None,
-    start: float = 0.0,
-    active_threshold: int = 10,
-    resync_every: int = 64,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> "SnapshotSeries":
-    """Incremental counterpart of :func:`repro.core.timeseries.observe`.
-
-    Streams the trace once, advancing the delta-maintained state on
-    *every* window (deltas are between consecutive windows) and
-    appending a ``{"degrees", "reciprocity", "clustering"}`` row for
-    each observed one.  Rows are exactly equal to running the CSR
-    kernels on per-window snapshots.
-    """
-    from repro.core.timeseries import SnapshotSeries
-
-    if observe_every is None:
-        observe_every = window_seconds
-    if observe_every < window_seconds:
-        raise ValueError("observe_every must be >= window_seconds")
-    state = IncrementalWindowMetrics(
-        active_threshold=active_threshold, resync_every=resync_every
-    )
-    series = SnapshotSeries()
-    with obs.span("analytics.trace_pass"):
-        for window_start, window_reports in iter_windows(
-            reports, window_seconds, start=start
-        ):
-            with obs.span("analytics.incremental_window"):
-                row = state.update(window_reports)
-            if obs.enabled:
-                obs.count("analytics.incremental_windows")
-            offset = window_start - start
-            if (offset % observe_every) > 1e-9:
-                continue
-            series.append(window_start, row)
-    return series

@@ -6,6 +6,7 @@ from repro.core import experiments as ex
 from repro.core.metrics import peer_counts
 from repro.core.timeseries import Sampling, observe, sample_trace
 from repro.obs import Observer
+from repro.soa.incremental import IncrementalWindowMetrics
 from tests.core.helpers import partner, report
 
 DAY = 86_400.0
@@ -82,19 +83,21 @@ class TestSharedPassEqualsSeparatePasses:
     def test_fig8_series(self, small_trace, shared):
         assert shared["fig8"].series == ex.fig8_reciprocity(small_trace).series
 
-    def test_parallel_pass_equals_serial(self, small_trace, shared):
+    def test_windows_sampling_shares_the_figures_pass(self, small_trace):
         chosen = plans()
-        series = sample_trace(
-            small_trace, {k: p.sampling for k, p in chosen.items()}, workers=2
-        )
-        for key, plan in chosen.items():
-            result = plan.finish(series[key])
-            if key == "fig2":
-                assert result == shared[key]
-            elif key == "fig4":
-                assert result.distributions == shared[key].distributions
-            else:
-                assert result.series == shared[key].series
+        state = IncrementalWindowMetrics()
+        samplings = {key: plan.sampling for key, plan in chosen.items()}
+        samplings["windows"] = Sampling({}, every=600.0, on_window=state.update)
+        trace = CountingTrace(small_trace)
+        series = sample_trace(trace, samplings)
+        assert trace.passes == 1
+        for key, plan in plans().items():
+            separate = plan.chart(small_trace)
+            assert chosen[key].finish(series[key]) == separate, key
+        alone = ex.windowed_structure(small_trace)
+        assert series["windows"] == alone
+        assert alone == observe(small_trace, ex.WINDOW_STRUCTURE_METRICS)
+        assert len(alone) == state.windows_processed
 
 
 def hourly_reports(hours):
@@ -160,3 +163,62 @@ class TestSampleTrace:
     def test_cadence_below_window_rejected(self):
         with pytest.raises(ValueError, match="observe_every"):
             sample_trace([], {0: Sampling({}, every=60.0)})
+
+    def test_on_window_sees_every_window_in_order(self):
+        seen = []
+
+        def tally(window_reports):
+            seen.append(window_reports[0].time)
+            return {"n": len(window_reports)}
+
+        obs = Observer()
+        series = sample_trace(
+            hourly_reports(2), {0: Sampling({}, every=HOUR, on_window=tally)}, obs=obs
+        )
+        assert seen == [600.0 * w + 5.0 for w in range(12)]
+        assert series[0].times == [0.0, HOUR]
+        assert series[0].column("n") == [2, 2]
+        # no sampling with metrics was due: no snapshot was built
+        assert "analytics.snapshots" not in obs.registry.counters()
+        assert obs.registry.histograms()["analytics.trace_pass"].count == 1
+
+    def test_window_rows_come_before_the_metrics(self):
+        series = sample_trace(
+            hourly_reports(1),
+            {
+                0: Sampling(
+                    {"n": peer_counts},
+                    instants=(700.0,),
+                    on_window=lambda window: {"first": window[0].peer_ip},
+                )
+            },
+        )
+        ((time, row),) = series[0].rows()
+        assert time == 600.0
+        assert list(row) == ["first", "n"]
+        assert row["first"] == 1
+
+    def test_on_window_reads_past_the_last_instant(self):
+        reports = hourly_reports(2)
+        consumed = []
+
+        def tracked():
+            for r in reports:
+                consumed.append(r)
+                yield r
+
+        windows = []
+
+        def note(window_reports):
+            windows.append(window_reports)
+            return {}
+
+        sample_trace(
+            tracked(),
+            {
+                "at": Sampling({"n": peer_counts}, instants=(650.0,)),
+                "tap": Sampling({}, on_window=note),
+            },
+        )
+        assert len(consumed) == len(reports)
+        assert len(windows) == 12

@@ -7,7 +7,9 @@ kernels (``degree_distributions``, ``edge_reciprocity`` over
 ``active_compact()``, ``average_clustering`` over
 ``stable_undirected_compact()``) on every window — including windows
 that cross a periodic resync boundary, so both the delta path and the
-rebuild path are exercised against the same reference.
+rebuild path are exercised against the same reference.  Its driver,
+``windowed_structure``, is held to ``observe`` over the same kernels
+(``WINDOW_STRUCTURE_METRICS``).
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.core.timeseries import observe
 from repro.graph.clustering import average_clustering
 from repro.graph.reciprocity import edge_reciprocity
 from repro.simulator import SystemConfig, UUSeeSystem
-from repro.soa.incremental import IncrementalWindowMetrics, observe_incremental
+from repro.soa.incremental import IncrementalWindowMetrics
 from repro.traces import InMemoryTraceStore
 from repro.traces.store import iter_windows
 from repro.workloads.flashcrowd import FlashCrowdEvent
@@ -79,8 +81,8 @@ def test_every_window_matches_kernels_exactly(churn_trace, resync_every):
     assert state.windows_processed == len(windows)
 
 
-def test_observe_incremental_equals_full_observe(churn_trace):
-    inc = observe_incremental(churn_trace, window_seconds=WINDOW)
+def test_windowed_structure_equals_full_observe(churn_trace):
+    inc = windowed_structure(churn_trace, window_seconds=WINDOW)
     full = observe(churn_trace, WINDOW_STRUCTURE_METRICS, window_seconds=WINDOW)
     assert inc.times == full.times
     assert set(inc.values) == set(full.values)
@@ -89,7 +91,7 @@ def test_observe_incremental_equals_full_observe(churn_trace):
 
 
 def test_observe_every_subsampling(churn_trace):
-    inc = observe_incremental(
+    inc = windowed_structure(
         churn_trace, window_seconds=WINDOW, observe_every=3 * WINDOW
     )
     full = observe(
@@ -98,28 +100,15 @@ def test_observe_every_subsampling(churn_trace):
         window_seconds=WINDOW,
         observe_every=3 * WINDOW,
     )
-    dense = observe_incremental(churn_trace, window_seconds=WINDOW)
+    dense = windowed_structure(churn_trace, window_seconds=WINDOW)
     assert inc.times == full.times
     assert len(inc.times) < len(dense.times)
     for key in full.values:
         assert inc.values[key] == full.values[key]
 
 
-def test_windowed_structure_modes_agree(churn_trace):
-    inc = windowed_structure(churn_trace, mode="incremental")
-    full = windowed_structure(churn_trace, mode="full")
-    assert inc.times == full.times
-    for key in full.values:
-        assert inc.values[key] == full.values[key]
-
-
-def test_windowed_structure_rejects_unknown_mode(churn_trace):
-    with pytest.raises(ValueError, match="analytics mode"):
-        windowed_structure(churn_trace, mode="magic")
-
-
 def test_invalid_parameters_rejected(churn_trace):
     with pytest.raises(ValueError):
         IncrementalWindowMetrics(resync_every=-1)
     with pytest.raises(ValueError):
-        observe_incremental(churn_trace, window_seconds=WINDOW, observe_every=1.0)
+        windowed_structure(churn_trace, window_seconds=WINDOW, observe_every=1.0)

@@ -193,8 +193,15 @@ class TestAnalyze:
         assert header == "t,total,stable"
 
     def test_missing_trace(self, tmp_path):
-        rc = main(["analyze", "--trace", str(tmp_path / "gone.jsonl")])
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "analyze", "--trace", str(tmp_path / "gone.jsonl"),
+                "--csv-dir", str(out),
+            ]
+        )
         assert rc == 2
+        assert not out.exists()
 
     def test_all_figures_on_short_trace(self, cli_trace, capsys):
         # every analyzer either renders or reports a graceful skip
@@ -222,15 +229,65 @@ class TestAnalyze:
         assert doc["trace_health"]["parse_failures"] == 1
 
     def test_bad_workers_leaves_no_csv_dir(self, cli_trace, tmp_path, capsys):
+        # --workers is no longer an option of analyze: the parser refuses it
+        # with the usage-error status before any output directory is made
         out = tmp_path / "out"
-        rc = main(
-            [
-                "analyze", "--trace", str(cli_trace), "--workers", "0",
-                "--csv-dir", str(out),
-            ]
-        )
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "analyze", "--trace", str(cli_trace), "--workers", "0",
+                    "--csv-dir", str(out),
+                ]
+            )
+        assert exc.value.code == 2
         assert not out.exists()
+        assert "--workers" in capsys.readouterr().err
+
+    def test_windows_rows_equal_the_kernels(self, cli_trace, capsys):
+        import json
+
+        from repro.core.experiments import WINDOW_STRUCTURE_METRICS
+        from repro.core.timeseries import observe
+
+        argv = ["analyze", "--trace", str(cli_trace), "--figure", "windows", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)["figures"]["windows"]
+        series = observe(SegmentedTraceReader(cli_trace), WINDOW_STRUCTURE_METRICS)
+        expected = [
+            [t / 3600.0, deg["partners"].num_peers, deg["partners"].mean(), rho, clu]
+            for t, deg, rho, clu in zip(
+                series.times,
+                series.column("degrees"),
+                series.column("reciprocity"),
+                series.column("clustering"),
+            )
+        ]
+        assert len(expected) > 10
+        assert payload["rows"] == expected
+        assert payload["columns"] == ["t_hours", "peers", "mean_partners", "rho", "C"]
+        assert payload["analytics"] == "incremental"
+
+    def test_windows_is_one_pass_without_snapshots(self, cli_trace, tmp_path, capsys):
+        import json
+
+        from repro.traces.store import iter_windows
+
+        obs_dir = tmp_path / "windows-obs"
+        argv = [
+            "analyze", "--trace", str(cli_trace), "--figure", "windows",
+            "--json", "--obs-dir", str(obs_dir),
+        ]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["figures"]["windows"]["rows"]
+        windows = len(list(iter_windows(SegmentedTraceReader(cli_trace), 600.0)))
+        assert len(rows) == windows
+        metrics = json.loads((obs_dir / "metrics.json").read_text())
+        histograms = metrics["histograms"]
+        assert histograms["analytics.trace_pass"]["count"] == 1
+        assert histograms["analytics.incremental_window"]["count"] == windows
+        assert metrics["counters"]["analytics.incremental_windows"] == windows
+        assert "analytics.snapshot" not in histograms
+        assert "analytics.snapshots" not in metrics["counters"]
 
     @pytest.mark.parametrize("tolerant", [False, True])
     def test_all_equals_merged_single_figures(self, cli_trace, tmp_path, capsys, tolerant):
@@ -320,36 +377,6 @@ class TestObservability:
         assert set(doc["figures"]) == {
             "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"
         }
-
-    @staticmethod
-    def assert_workers_byte_identical(cli_trace, capsys, figure):
-        assert main(
-            [
-                "analyze", "--trace", str(cli_trace), "--figure", figure,
-                "--json", "--workers", "1",
-            ]
-        ) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            [
-                "analyze", "--trace", str(cli_trace), "--figure", figure,
-                "--json", "--workers", "2",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_analyze_workers_byte_identical(self, cli_trace, capsys):
-        self.assert_workers_byte_identical(cli_trace, capsys, "fig1")
-
-    def test_analyze_all_workers_byte_identical(self, cli_trace, capsys):
-        self.assert_workers_byte_identical(cli_trace, capsys, "all")
-
-    def test_analyze_workers_must_be_positive(self, cli_trace, capsys):
-        rc = main(
-            ["analyze", "--trace", str(cli_trace), "--workers", "0"]
-        )
-        assert rc == 2
-        assert "workers" in capsys.readouterr().err
 
     def test_analyze_obs_dir_profiles_analytics(self, cli_trace, tmp_path, capsys):
         obs_dir = tmp_path / "ana-obs"
