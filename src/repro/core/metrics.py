@@ -59,8 +59,7 @@ class DailyIpTally:
         self._stable_by_day[day].add(report.peer_ip)
         total = self._total_by_day[day]
         total.add(report.peer_ip)
-        for partner in report.partners:
-            total.add(partner.ip)
+        total.update([p[0] for p in report.partners])  # each partner's ip
 
     def rows(self) -> list[tuple[int, int, int]]:
         """(day index, distinct total IPs, distinct stable IPs), by day."""
@@ -141,10 +140,10 @@ def degree_distributions(
         partners.append(len(report.partners))
         n_in = 0
         n_out = 0
-        for p in report.partners:
-            if p.recv_segments >= thr:
+        for _ip, _port, sent, recv in report.partners:
+            if recv >= thr:
                 n_in += 1
-            if p.sent_segments >= thr:
+            if sent >= thr:
                 n_out += 1
         indeg.append(n_in)
         outdeg.append(n_out)
@@ -201,12 +200,11 @@ def intra_isp_degree_fractions(
             continue
         n_sup = same_sup = 0
         n_recv = same_recv = 0
-        for p in report.partners:
-            supplies = p.recv_segments >= thr
-            receives = p.sent_segments >= thr
+        for pip, _port, sent, recv in report.partners:
+            supplies = recv >= thr
+            receives = sent >= thr
             if not (supplies or receives):
                 continue
-            pip = p.ip
             isp = cache[pip] if pip in cache else cache.setdefault(
                 pip, lookup(pip)
             )

@@ -110,9 +110,10 @@ def build_snapshot(
         if previous is None or report.time >= previous.time:
             latest[report.peer_ip] = report
 
-    # Adjacency is assembled directly on the graphs' dict-of-set storage:
-    # this loop dominates per-window analytics cost and per-edge add_edge
-    # calls were its hottest part.  Insertion order (reporter first, then
+    # Adjacency is assembled directly on the graphs' dict-of-set storage,
+    # unpacking each partner tuple once: this loop dominates per-window
+    # analytics cost, and per-edge add_edge calls and per-field attribute
+    # loads were its hottest parts.  Insertion order (reporter first, then
     # partners in report order) and dedup match the add_edge path exactly.
     active = DiGraph()
     partners = Graph()
@@ -128,8 +129,7 @@ def build_snapshot(
         if ip not in succ:
             succ[ip] = set()
             pred[ip] = set()
-        for partner in report.partners:
-            pip = partner.ip
+        for pip, _port, sent, recv in report.partners:
             if pip == ip:
                 continue
             orow = padj.get(pip)
@@ -139,7 +139,7 @@ def build_snapshot(
                 prow.add(pip)
                 orow.add(ip)
                 partner_edges += 1
-            if partner.recv_segments >= active_threshold:
+            if recv >= active_threshold:
                 out_pip = succ.get(pip)
                 if out_pip is None:
                     out_pip = succ[pip] = set()
@@ -148,7 +148,7 @@ def build_snapshot(
                     out_pip.add(ip)
                     pred[ip].add(pip)
                     active_edges += 1
-            if partner.sent_segments >= active_threshold:
+            if sent >= active_threshold:
                 out_ip = succ[ip]
                 if pip not in out_ip:
                     out_ip.add(pip)

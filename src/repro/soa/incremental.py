@@ -136,14 +136,13 @@ class IncrementalWindowMetrics:
             partners = report.partners
             n_in = 0
             n_out = 0
-            for partner in partners:
-                recv_active = partner.recv_segments >= thr
-                sent_active = partner.sent_segments >= thr
+            for pip, _port, sent, recv in partners:
+                recv_active = recv >= thr
+                sent_active = sent >= thr
                 if recv_active:
                     n_in += 1
                 if sent_active:
                     n_out += 1
-                pip = partner.ip
                 if pip == ip:
                     continue
                 if pip in latest:

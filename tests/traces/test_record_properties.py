@@ -2,9 +2,11 @@
 
 import json
 import math
+import pickle
+from itertools import starmap
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.traces import PartnerRecord, PeerReport
@@ -125,3 +127,153 @@ encoder_reports = st.builds(
 @given(encoder_reports)
 def test_to_json_equals_json_dumps(report):
     assert report.to_json() == dumps_oracle(report)
+
+
+def from_json_oracle(line):
+    """``PeerReport.from_json`` as it was written with ``json.loads``,
+    a per-partner arity loop and keyword construction."""
+    obj = json.loads(line)
+    arrays = obj["p"]
+    for arr in arrays:
+        if len(arr) != 4:
+            raise ValueError(f"partner record needs 4 fields, got {len(arr)}")
+    return PeerReport(
+        time=float(obj["t"]),
+        peer_ip=int(obj["ip"]),
+        channel_id=int(obj["ch"]),
+        buffer_fill=float(obj["bf"]),
+        playback_position=int(obj["pp"]),
+        download_capacity_kbps=float(obj["dc"]),
+        upload_capacity_kbps=float(obj["uc"]),
+        recv_rate_kbps=float(obj["rr"]),
+        sent_rate_kbps=float(obj["sr"]),
+        partners=tuple(starmap(PartnerRecord, arrays)),
+    )
+
+
+SCALAR_KEYS = ("t", "ip", "ch", "bf", "pp", "dc", "uc", "rr", "sr")
+#: Lines to damage: any value ``to_json`` can write, few partners.
+source_reports = st.builds(
+    PeerReport,
+    time=any_floats,
+    peer_ip=big_ints,
+    channel_id=big_ints,
+    buffer_fill=any_floats,
+    playback_position=big_ints,
+    download_capacity_kbps=any_floats,
+    upload_capacity_kbps=any_floats,
+    recv_rate_kbps=any_floats,
+    sent_rate_kbps=any_floats,
+    partners=st.lists(any_partners, max_size=4).map(tuple),
+)
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["1.5", "12", "-3", "1e3", "nan", "inf", " 7 ", ""]),
+    st.lists(st.integers(0, 9), max_size=6),
+    st.dictionaries(st.text(max_size=4), st.integers(0, 9), max_size=5),
+)
+
+
+@st.composite
+def report_lines(draw):
+    """A ``to_json`` line, or one damaged the ways a trace line can be."""
+    report = draw(st.one_of(reports, source_reports))
+    line = report.to_json()
+    kind = draw(
+        st.sampled_from(
+            [
+                "intact", "partner", "p", "number", "missing",
+                "whitespace", "trailing", "top", "truncate",
+            ]
+        )
+    )
+    if kind == "intact":
+        return line
+    if kind == "whitespace":
+        pad = st.sampled_from(["", " ", "\t", "\n", "\r\n", "  "])
+        return draw(pad) + line + draw(pad)
+    if kind == "trailing":
+        return line + draw(st.sampled_from(["x", "{}", "]", ",", " 1", "\x00"]))
+    if kind == "truncate":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    obj = json.loads(line)
+    if kind == "top":
+        top = draw(st.one_of(st.just(list(obj.values())), json_values))
+        return json.dumps(top, separators=(",", ":"))
+    if kind == "missing":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "number":
+        obj[draw(st.sampled_from(SCALAR_KEYS))] = draw(json_values)
+    elif kind == "p":
+        obj["p"] = draw(json_values)
+    else:  # one or two partner entries of the wrong arity, or not arrays
+        partners = obj["p"] + [[1, 2, 3, 4]] * draw(st.integers(not obj["p"], 2))
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(partners) - 1))
+            if draw(st.booleans()):
+                size = draw(st.sampled_from([0, 1, 2, 3, 5, 6]))
+                partners[at] = [9, 8, 7, 6, 5, 4][:size]
+            else:
+                partners[at] = draw(
+                    st.one_of(json_values, st.sampled_from(["abcd", "abc"]))
+                )
+        obj["p"] = partners
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def parse_outcome(parse, line):
+    try:
+        return parse(line), None
+    except Exception as exc:  # the outcome under comparison
+        return None, exc
+
+
+def field_types(report):
+    return [type(v) for v in vars(report).values()], [
+        [type(x) for x in p] for p in report.partners
+    ]
+
+
+#: A line whose partner list the examples below replace.
+PARTNERLESS = '{"t":1.5,"ip":7,"ch":3,"bf":0.5,"pp":9,"dc":1.0,"uc":2.0,"rr":3.0,"sr":4.0,"p":%s}'
+
+
+@settings(max_examples=400)
+@given(report_lines())
+@example(PARTNERLESS % "[]")
+@example(PARTNERLESS % '[[1,2,30,40],"abcd"]')
+@example(PARTNERLESS % "[[1,2,3],5]")  # the first bad entry decides
+@example(PARTNERLESS % "[5,[1,2,3]]")
+@example(" " + PARTNERLESS % "[[1,2,30,40]]" + "\n")
+@example(PARTNERLESS % "[[1,2,30,40]]" + " x")
+def test_from_json_matches_oracle(line):
+    got, got_exc = parse_outcome(PeerReport.from_json, line)
+    want, want_exc = parse_outcome(from_json_oracle, line)
+    if want_exc is not None:
+        assert got_exc is not None, f"parsed what the oracle rejects: {line!r}"
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        return
+    assert got_exc is None, f"rejected what the oracle parses: {got_exc!r}"
+    assert list(vars(got)) == list(vars(want))
+    assert field_types(got) == field_types(want)
+    assert all(type(p) is PartnerRecord for p in got.partners)
+    # pickle bytes compare values, nan included, and the dict's order
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert repr(got) == repr(want)
+
+
+@given(encoder_reports)
+def test_parsed_report_is_its_keyword_built_twin(report):
+    parsed = PeerReport.from_json(report.to_json())
+    twin = PeerReport(**vars(parsed))
+    assert pickle.dumps(parsed) == pickle.dumps(twin)
+    assert list(vars(parsed)) == list(vars(twin))
+    assert repr(parsed) == repr(twin)
+    if not any(isinstance(v, float) and math.isnan(v) for v in vars(parsed).values()):
+        assert parsed == twin
+        assert hash(parsed) == hash(twin)
