@@ -114,7 +114,9 @@ def sample_trace(
 
     An enabled ``obs`` times the pass (``analytics.trace_pass``), each
     snapshot (``analytics.snapshot``) and each metric
-    (``analytics.metric.<name>``).
+    (``analytics.metric.<name>``), and counts the windowed reports
+    (``analytics.reports``, once per window), so a pass's read rate
+    needs no profiler.
     """
     for sampling in samplings.values():
         if sampling.every is not None and sampling.every < window_seconds:
@@ -137,6 +139,8 @@ def sample_trace(
         for window_start, window_reports in iter_windows(
             reports, window_seconds, start=start
         ):
+            if obs.enabled:
+                obs.count("analytics.reports", len(window_reports))
             window_rows = {key: fn(window_reports) for key, fn in windowed}
             due = [
                 key

@@ -186,6 +186,25 @@ def _checkpoint_section(summary: ObsSummary) -> list[str]:
     ]
 
 
+def _trace_pass_section(summary: ObsSummary) -> list[str]:
+    """One line on trace read rates (empty when no pass was recorded).
+
+    Passes and their time come from the ``analytics.trace_pass`` span
+    events; the reports from the ``analytics.reports`` counter, which
+    every pass adds to once per window.
+    """
+    passes = summary.spans.get("analytics.trace_pass")
+    if passes is None:
+        return []
+    reports = summary.counters.get("analytics.reports", 0.0)
+    rate = reports / passes.wall_total if passes.wall_total else 0.0
+    return [
+        f"Trace passes: {passes.count} passes, {reports:.0f} reports, "
+        f"{passes.wall_total:.3f} s, {rate:.0f} reports/s",
+        "",
+    ]
+
+
 def render_summary(obs_dir: str | Path) -> str:
     """Render the full human report for ``obs summarize``."""
     summary = summarize_dir(obs_dir)
@@ -202,6 +221,7 @@ def render_summary(obs_dir: str | Path) -> str:
     out.extend(_span_section("Other timings", other_spans))
     out.extend(_gc_section(summary))
     out.extend(_checkpoint_section(summary))
+    out.extend(_trace_pass_section(summary))
     if summary.counters:
         rows = [[name, f"{value:g}"] for name, value in sorted(summary.counters.items())]
         out.append("Counters")

@@ -221,5 +221,23 @@ class TestSummarize:
         finalize_observer(obs, tmp_path)
         assert "Checkpoints" not in render_summary(tmp_path)
 
+    def test_render_summary_trace_pass_line(self, tmp_path):
+        clock = ManualClock()
+        obs = create_observer(tmp_path, clock=clock)
+        for wall, windows in ((0.5, (100, 200)), (1.5, (250, 250))):
+            with obs.span("analytics.trace_pass"):
+                clock.advance(wall)
+                for reports in windows:
+                    obs.count("analytics.reports", reports)
+        finalize_observer(obs, tmp_path)
+        text = render_summary(tmp_path)
+        assert "Trace passes: 2 passes, 800 reports, 2.000 s, 400 reports/s" in text
+
+    def test_render_summary_without_trace_passes(self, tmp_path):
+        obs = create_observer(tmp_path, clock=ManualClock())
+        obs.count("sim.rounds")
+        finalize_observer(obs, tmp_path)
+        assert "Trace passes" not in render_summary(tmp_path)
+
     def test_render_summary_empty_dir(self, tmp_path):
         assert "(no observability data found)" in render_summary(tmp_path)

@@ -408,6 +408,22 @@ class TestObservability:
         assert "analytics.trace_pass" in analytics
 
 
+    def test_summarize_prints_trace_read_rate(self, cli_trace, tmp_path, capsys):
+        import json
+
+        obs_dir = tmp_path / "ana-rate"
+        argv = ["analyze", "--trace", str(cli_trace), "--figure", "windows"]
+        assert main(argv + ["--obs-dir", str(obs_dir)]) == 0
+        capsys.readouterr()
+        reports = sum(1 for _ in SegmentedTraceReader(cli_trace))
+        metrics = json.loads((obs_dir / "metrics.json").read_text())
+        assert metrics["counters"]["analytics.reports"] == reports
+        assert main(["obs", "summarize", str(obs_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"Trace passes: 1 passes, {reports} reports, " in out
+        assert " reports/s\n" in out
+
+
 class TestCompareOverlays:
     def test_table_lists_every_policy(self, capsys):
         rc = main(
