@@ -61,6 +61,13 @@ class DailyIpTally:
         total.add(report.peer_ip)
         total.update([p[0] for p in report.partners])  # each partner's ip
 
+    def merge(self, other: DailyIpTally) -> None:
+        """Fold in a tally of another part of the same trace."""
+        for day, ips in other._total_by_day.items():
+            self._total_by_day[day] |= ips
+        for day, ips in other._stable_by_day.items():
+            self._stable_by_day[day] |= ips
+
     def rows(self) -> list[tuple[int, int, int]]:
         """(day index, distinct total IPs, distinct stable IPs), by day."""
         return [

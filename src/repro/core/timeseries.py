@@ -13,15 +13,17 @@ rides the same pass through ``Sampling.on_window``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
-from typing import TypeVar
+from typing import Generic, TypeVar
 
+from repro.core import shards
 from repro.core.snapshots import TopologySnapshot, build_snapshot
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.traces.records import PeerReport
-from repro.traces.store import iter_windows
+from repro.traces.store import TraceFormatError, iter_windows
 
 MetricFn = Callable[[TopologySnapshot], object]
 K = TypeVar("K", bound=Hashable)
@@ -39,6 +41,12 @@ class SnapshotSeries:
         self.times.append(time)
         for key, value in row.items():
             self.values.setdefault(key, []).append(value)
+
+    def extend(self, other: SnapshotSeries) -> None:
+        """Add ``other``'s rows after this series' own."""
+        self.times.extend(other.times)
+        for key, column in other.values.items():
+            self.values.setdefault(key, []).extend(column)
 
     def column(self, key: str) -> list[object]:
         """All values of one metric, aligned with :attr:`times`."""
@@ -65,7 +73,10 @@ class Sampling:
     ``on_window``, when set, sees every window's reports in order — for
     state carried from window to window — and its return value is the
     sampled row (before the ``metrics``' values) wherever the sampling
-    is due.
+    is due.  Its contract: the row depends on that window's reports
+    only.  A shard-parallel pass starts the consumer fresh in each shard
+    (each from its state at the pass's start), and what a consumer
+    records outside its rows in a forked shard stays there.
     """
 
     metrics: dict[str, MetricFn]
@@ -93,6 +104,16 @@ def _tapped(
         yield report
 
 
+@dataclass
+class _Share(Generic[K]):
+    """What one shard of a pass charted, and which windows it read."""
+
+    series: dict[K, SnapshotSeries]
+    first: float | None = None  # start of the first window read
+    last: float | None = None  # start of the last window read
+    ended: bool = False  # stopped after the last instant
+
+
 def sample_trace(
     reports: Iterable[PeerReport],
     samplings: Mapping[K, Sampling],
@@ -112,18 +133,25 @@ def sample_trace(
     samplings only ends after the last instant; a pass with an
     ``on_window`` consumer reads the whole trace.
 
+    A strict :class:`~repro.traces.segments.SegmentedTraceReader` is
+    read shard-parallel (:mod:`repro.core.shards`): cut at window starts
+    into one slice per usable core, each slice charted by this code in
+    its own process and the rows merged in window order.  The result,
+    a strict error included, is that of one shard.  This needs every
+    ``on_report`` tap to be a bound method of an object with a
+    ``merge``, and every ``on_window`` consumer to keep the contract in
+    :class:`Sampling`; anything else is read as one shard.
+
     An enabled ``obs`` times the pass (``analytics.trace_pass``), each
     snapshot (``analytics.snapshot``) and each metric
-    (``analytics.metric.<name>``), and counts the windowed reports
-    (``analytics.reports``, once per window), so a pass's read rate
-    needs no profiler.
+    (``analytics.metric.<name>``), counts the windowed reports
+    (``analytics.reports``, once per window) and the pass's shards
+    (``analytics.shards``), so a pass's read rate needs no profiler.
     """
     for sampling in samplings.values():
         if sampling.every is not None and sampling.every < window_seconds:
             raise ValueError("observe_every must be >= window_seconds")
     taps = [s.on_report for s in samplings.values() if s.on_report is not None]
-    if taps:
-        reports = _tapped(reports, taps)
     windowed = [
         (key, s.on_window) for key, s in samplings.items() if s.on_window is not None
     ]
@@ -133,12 +161,17 @@ def sample_trace(
         last_instant = max(
             (t for s in samplings.values() for t in s.instants), default=-math.inf
         )
-    series = {key: SnapshotSeries() for key in samplings}
 
-    with obs.span("analytics.trace_pass"):
+    def chart(part: Iterable[PeerReport]) -> _Share[K]:
+        share = _Share({key: SnapshotSeries() for key in samplings})
+        if taps:
+            part = _tapped(part, taps)
         for window_start, window_reports in iter_windows(
-            reports, window_seconds, start=start
+            part, window_seconds, start=start
         ):
+            if share.first is None:
+                share.first = window_start
+            share.last = window_start
             if obs.enabled:
                 obs.count("analytics.reports", len(window_reports))
             window_rows = {key: fn(window_reports) for key, fn in windowed}
@@ -168,10 +201,33 @@ def sample_trace(
                             with obs.span(f"analytics.metric.{name}"):
                                 row[name] = fn(snapshot)
             for key, row in rows.items():
-                series[key].append(window_start, row)
+                share.series[key].append(window_start, row)
             if last_instant is not None and last_instant < window_start + window_seconds:
+                share.ended = True
                 break
-    return series
+        return share
+
+    with obs.span("analytics.trace_pass"):
+        parts = shards.split(reports, taps, window_seconds=window_seconds, start=start)
+        if obs.enabled:
+            obs.count("analytics.shards", max(len(parts), 1))
+        if len(parts) < 2:
+            return chart(reports).series
+        owners = list({id(tap.__self__): tap.__self__ for tap in taps}.values())  # type: ignore[attr-defined]
+        series = {key: SnapshotSeries() for key in samplings}
+        last: float | None = None
+        with contextlib.closing(shards.run_shards(parts, chart, owners, obs)) as shares:
+            for share in shares:
+                if share.first is not None:
+                    # Cuts fall between windows; a shard never re-opens one.
+                    if last is not None and share.first <= last:
+                        raise TraceFormatError("trace not time-ordered across windows")
+                    last = share.last
+                for key, column in share.series.items():
+                    series[key].extend(column)
+                if share.ended:
+                    break
+        return series
 
 
 def observe(

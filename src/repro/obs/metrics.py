@@ -164,6 +164,25 @@ class MetricsRegistry:
             },
         }
 
+    def merge(self, state: dict[str, Any]) -> None:
+        """Fold in another registry's ``state()``, as if recorded here next.
+
+        Counters and histograms add up; a gauge takes the other's value,
+        the later one.
+        """
+        for name, value in state.get("counters", {}).items():
+            self.counter(name).value += float(value)
+        for name, value in state.get("gauges", {}).items():
+            self.gauge(name).value = float(value)
+        for name, h_state in state.get("histograms", {}).items():
+            h = self.histogram(name, tuple(h_state["boundaries"]))
+            h.bucket_counts = [
+                mine + int(theirs)
+                for mine, theirs in zip(h.bucket_counts, h_state["bucket_counts"])
+            ]
+            h.count += int(h_state["count"])
+            h.total += float(h_state["total"])
+
     def restore(self, state: dict[str, Any]) -> None:
         """Replace registry contents with a ``state()`` snapshot."""
         self._counters.clear()

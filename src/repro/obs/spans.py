@@ -119,6 +119,13 @@ def _zero_sim_clock() -> float:
     return 0.0
 
 
+class _EventList:
+    """An event sink appending to a list."""
+
+    def __init__(self, events: list[dict[str, Any]]) -> None:
+        self.emit = events.append
+
+
 class Observer:
     """The enabled observability facade: metrics registry + span tracer.
 
@@ -138,7 +145,7 @@ class Observer:
     def __init__(self, clock: Clock | None = None, sink: EventSink | None = None) -> None:
         self.registry = MetricsRegistry()
         self._clock: Clock = clock if clock is not None else WallClock()
-        self._sink = sink
+        self._sink = sink  # repro: noqa[REP101] output wiring; swapped only in a forked shard
         self._sim_clock: Callable[[], float] = _zero_sim_clock  # repro: noqa[REP101] runtime binding; rebound via bind_sim_clock after restore
         self._stack: list[str] = []  # repro: noqa[REP101] in-flight span nesting; empty at every checkpoint boundary
 
@@ -178,6 +185,18 @@ class Observer:
         """Forward a structured event to the sink, if one is attached."""
         if self._sink is not None:
             self._sink.emit(event)
+
+    def capture_shard(self) -> list[dict[str, Any]]:
+        """Record afresh, into memory: for a forked shard of a trace pass.
+
+        The registry starts empty and events go to the returned list, so
+        the forked copy never writes to its parent's event sink; the
+        parent merges the registry's ``state()`` and replays the events.
+        """
+        events: list[dict[str, Any]] = []
+        self.registry = MetricsRegistry()
+        self._sink = _EventList(events)
+        return events
 
     def checkpoint_state(self) -> dict[str, Any] | None:
         """Serialise counter/gauge/histogram state for a checkpoint."""

@@ -191,16 +191,18 @@ def _trace_pass_section(summary: ObsSummary) -> list[str]:
 
     Passes and their time come from the ``analytics.trace_pass`` span
     events; the reports from the ``analytics.reports`` counter, which
-    every pass adds to once per window.
+    every pass adds to once per window, and the shards the passes were
+    read in from the ``analytics.shards`` counter.
     """
     passes = summary.spans.get("analytics.trace_pass")
     if passes is None:
         return []
     reports = summary.counters.get("analytics.reports", 0.0)
+    shards = summary.counters.get("analytics.shards", 0.0)
     rate = reports / passes.wall_total if passes.wall_total else 0.0
     return [
         f"Trace passes: {passes.count} passes, {reports:.0f} reports, "
-        f"{passes.wall_total:.3f} s, {rate:.0f} reports/s",
+        f"{passes.wall_total:.3f} s, {rate:.0f} reports/s, {shards:.0f} shards",
         "",
     ]
 

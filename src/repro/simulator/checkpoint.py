@@ -133,8 +133,13 @@ def draw_fingerprint(system: UUSeeSystem) -> str:
     Two systems with equal fingerprints will make identical draws
     forever after — the property the fleet's kill/resume tests pin:
     a shard that crashed and resumed must land on the *same* fingerprint
-    as one that ran straight through.
+    as one that ran straight through.  Every stream drawn during a
+    round is folded in, including those restored only by pickling their
+    owners: each tracker's (every tracker of a ``TrackerPool``) and the
+    arrival process's.
     """
+    tracker = system.tracker
+    trackers = getattr(tracker, "_trackers", [tracker])
     states = {
         "latency": system.latency._rng.getstate(),
         "bandwidth": system.bandwidth._rng.getstate(),
@@ -142,6 +147,8 @@ def draw_fingerprint(system: UUSeeSystem) -> str:
         "system": system._rng.getstate(),
         "fault": system._fault_rng.getstate(),
         "trace_server": system.trace_server._rng.getstate(),
+        "tracker": [t._rng.getstate() for t in trackers],
+        "arrivals": system.arrivals._rng.getstate(),
     }
     # Only policies owning a private stream contribute; legacy policies
     # return None, keeping pre-overlay fingerprints byte-identical.

@@ -30,6 +30,7 @@ member, so equivalence for ``.gz`` traces is content-level
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import io
@@ -38,10 +39,11 @@ import os
 import re
 import zlib
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import dropwhile
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import TYPE_CHECKING, BinaryIO, TextIO
 
 from repro.ioutil import atomic_write_bytes
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
@@ -53,6 +55,9 @@ from repro.traces.store import (
     TraceTruncatedError,
     sanitize,
 )
+
+if TYPE_CHECKING:
+    from _typeshed import WriteableBuffer
 
 #: Manifest file name inside a segment directory.
 MANIFEST_NAME = "manifest.json"
@@ -620,12 +625,49 @@ class SegmentedTraceStore:
         self._active_hash.update(data)
 
 
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[begin, end)`` of a file as a readable raw stream."""
+
+    def __init__(self, path: Path, begin: int, end: int | None) -> None:
+        super().__init__()
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(begin)
+        self._left = (os.fstat(self._fh.fileno()).st_size if end is None else end) - begin
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: WriteableBuffer) -> int:
+        got = self._fh.readinto(memoryview(buffer)[: self._left]) or 0
+        self._left -= got
+        return got
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _open_segment(path: Path, begin: int = 0, end: int | None = None) -> TextIO:
+    """A segment as text, whole or only its bytes ``[begin, end)``.
+
+    A byte range opens as ``open(path)`` would, with the same newline
+    handling and encoding, so its lines are the whole read's lines.
+    """
+    if path.suffix == ".gz":
+        return gzip.open(path, "rt")
+    if begin == 0 and end is None:
+        return open(path)
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, begin, end)))
+
+
 def _parse_segment(
     path: Path,
     *,
     tolerant: bool,
     health: TraceHealth,
     seen: OrderedDict[tuple[float, int], None],
+    begin: int = 0,
+    end: int | None = None,
 ) -> Iterator[PeerReport]:
     """Stream the reports of one JSONL(.gz) segment, strict or tolerant.
 
@@ -637,10 +679,12 @@ def _parse_segment(
     lines, ends the segment at a torn gzip tail (everything before the
     tear was already yielded), quarantines garbage-valued records and
     drops re-deliveries already in ``seen``, the pass's one dedup window.
-    Counters accumulate into ``health``.
+    Counters accumulate into ``health``.  ``begin``/``end`` restrict an
+    uncompressed segment to a byte range starting on a line; an error
+    still names the line's number in the whole segment.
     """
     lineno = 0
-    fh: TextIO = gzip.open(path, "rt") if path.suffix == ".gz" else open(path)
+    fh = _open_segment(path, begin, end)
     with fh:
         try:
             for lineno, raw in enumerate(fh, 1):
@@ -658,6 +702,9 @@ def _parse_segment(
                         else:
                             health.parse_failures += 1
                         continue
+                    if begin:
+                        with _open_segment(path, 0, begin) as head:
+                            lineno += sum(1 for _ in head)
                     if truncated:
                         raise TraceTruncatedError(
                             f"{path}: truncated final line {lineno} "
@@ -691,6 +738,26 @@ def _parse_segment(
             ) from exc
 
 
+@dataclass(frozen=True)
+class TraceSlice:
+    """A part of a strict trace read, as one shard of a pass reads it.
+
+    The slice runs from byte ``begin`` (a line start; 0 in a ``.gz``
+    segment) of segment ``first`` to byte ``end`` of segment ``last``
+    (``None``: to its end), indices into
+    :meth:`SegmentedTraceReader.segment_paths`.  ``skip`` drops the
+    slice's leading reports while it holds; ``stop`` ends the read in
+    segment ``last`` at the first report it holds for.
+    """
+
+    first: int
+    begin: int
+    last: int
+    end: int | None = None
+    skip: Callable[[PeerReport], bool] | None = None
+    stop: Callable[[PeerReport], bool] | None = None
+
+
 class SegmentedTraceReader:
     """The trace reader: a re-iterable report stream, strict or tolerant.
 
@@ -703,7 +770,9 @@ class SegmentedTraceReader:
     pass, and the combined stream is re-sorted with
     :func:`~repro.traces.store.sanitize` (reordering can straddle a
     segment boundary); :attr:`health` accounts the most recent
-    complete iteration.
+    complete iteration.  A strict reader can be :meth:`sliced` to a
+    :class:`TraceSlice`, the part of the trace one shard of a parallel
+    pass reads (:mod:`repro.core.shards`).
     """
 
     def __init__(
@@ -718,6 +787,16 @@ class SegmentedTraceReader:
         self.slack_s = slack_s
         #: Accounting of the most recent complete iteration.
         self.health = TraceHealth()
+        #: The part of the trace a strict read covers (None: all of it).
+        self.part: TraceSlice | None = None
+
+    def sliced(self, part: TraceSlice) -> SegmentedTraceReader:
+        """A strict reader of ``part`` of this trace only."""
+        if self.tolerant:
+            raise ValueError("only a strict read can be sliced")
+        reader = SegmentedTraceReader(self.path)
+        reader.part = part
+        return reader
 
     def segment_paths(self) -> list[Path]:
         """Every segment file in index order (a lone file is its own)."""
@@ -727,15 +806,31 @@ class SegmentedTraceReader:
 
     def _parsed(self) -> Iterator[PeerReport]:
         seen: OrderedDict[tuple[float, int], None] = OrderedDict()
-        for path in self.segment_paths():
-            yield from _parse_segment(
-                path, tolerant=self.tolerant, health=self.health, seen=seen
+        paths = self.segment_paths()
+        part = self.part or TraceSlice(0, 0, len(paths) - 1)
+        for index in range(part.first, part.last + 1):
+            reports = _parse_segment(
+                paths[index],
+                tolerant=self.tolerant,
+                health=self.health,
+                seen=seen,
+                begin=part.begin if index == part.first else 0,
+                end=part.end if index == part.last else None,
             )
+            if index < part.last or part.stop is None:
+                yield from reports
+                continue
+            with contextlib.closing(reports):
+                for report in reports:
+                    if part.stop(report):
+                        return
+                    yield report
 
     def __iter__(self) -> Iterator[PeerReport]:
         self.health.reset()
         if not self.tolerant:
-            yield from self._parsed()
+            skip = self.part.skip if self.part else None
+            yield from dropwhile(skip, self._parsed()) if skip else self._parsed()
             return
         yield from sanitize(
             self._parsed(), slack_s=self.slack_s, health=self.health

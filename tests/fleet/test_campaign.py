@@ -73,7 +73,9 @@ def test_golden_per_shard_fingerprints_are_pinned(tmp_path):
     merged trace bytes for a tiny fixed fleet.  If this test breaks,
     shard seeding, the RNG discipline, or the trace encoding changed
     in a way that silently invalidates every crash-equals-clean
-    guarantee — bump deliberately, never casually.
+    guarantee — bump deliberately, never casually.  (Bumped once when
+    the tracker and arrival streams joined the fingerprint: the draws,
+    and so the merged trace bytes below, did not change.)
     """
     result = run_fleet_campaign(
         FleetCampaignConfig(
@@ -88,8 +90,8 @@ def test_golden_per_shard_fingerprints_are_pinned(tmp_path):
     )
     assert result.completed
     assert fingerprints(result) == {
-        0: "8580d25e7c28c56158234bf44d7eacea2d2f7f5ae4d474d304c5aaaa50894193",
-        1: "457902f5ef07218ac611e545392e154c101177ac681b1da3a70f38e2b026e81c",
+        0: "04b229dc5e26023dfb2238dc1c64f3de8b4366232b35cd0ff276c621389ee561",
+        1: "23cc9dc775d0fe2e2c43b5299a9b2ae1cdab3df645ff1a1a58fab87c22b96bec",
     }
     assert result.merge.content_sha256 == (
         "bd221a2b9a799e3d1d1dbf2fcf9b2094d2423e65bc7144dc5e1a12aafba011f4"

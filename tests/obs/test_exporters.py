@@ -227,11 +227,12 @@ class TestSummarize:
         for wall, windows in ((0.5, (100, 200)), (1.5, (250, 250))):
             with obs.span("analytics.trace_pass"):
                 clock.advance(wall)
+                obs.count("analytics.shards", len(windows))
                 for reports in windows:
                     obs.count("analytics.reports", reports)
         finalize_observer(obs, tmp_path)
         text = render_summary(tmp_path)
-        assert "Trace passes: 2 passes, 800 reports, 2.000 s, 400 reports/s" in text
+        assert "Trace passes: 2 passes, 800 reports, 2.000 s, 400 reports/s, 4 shards\n" in text
 
     def test_render_summary_without_trace_passes(self, tmp_path):
         obs = create_observer(tmp_path, clock=ManualClock())

@@ -102,6 +102,12 @@ def per_file_shas(trace_dir) -> dict[str, str]:
     }
 
 
+def tracker_states(system):
+    """The RNG state of every tracker (one, or each of a pool's)."""
+    trackers = getattr(system.tracker, "_trackers", [system.tracker])
+    return [t._rng.getstate() for t in trackers]
+
+
 class TestKillBetweenCheckpoints:
     def test_resume_matches_uninterrupted_twin_bytewise(self, tmp_path):
         twin_a, twin_b = tmp_path / "a", tmp_path / "b"
@@ -114,6 +120,10 @@ class TestKillBetweenCheckpoints:
         assert a_system.total_arrivals == b_system.total_arrivals
         assert a_system._rng.getstate() == b_system._rng.getstate()
         assert a_system.exchange.rng.getstate() == b_system.exchange.rng.getstate()
+        # The two streams restored only by pickling their owners.
+        assert a_system.arrivals._rng.getstate() == b_system.arrivals._rng.getstate()
+        assert tracker_states(a_system) == tracker_states(b_system)
+        assert draw_fingerprint(a_system) == draw_fingerprint(b_system)
         # Plain JSONL: not just equivalent content — identical files.
         assert per_file_shas(twin_a) == per_file_shas(twin_b)
 

@@ -9,11 +9,17 @@ match the digest captured before the trace parser and the analytics'
 partner loops were last optimised.  The trace is named by a fixed
 relative path, because the document records it.  If a digest ever
 changes, an edit changed what a figure reports, not just its speed.
+
+The document embeds the campaign's ``health.json``, so the digests
+also pin its ``rng_fingerprint``: they changed once, and only in that
+field, when the tracker and arrival streams joined the fingerprint.
+The same documents must come out of a pass read in 2 or 3 shards.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -30,8 +36,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_FLAGS = ["--days", "0.5", "--base", "120", "--seed", "5", "--no-flash-crowd"]
 
 GOLDEN_ANALYZE_SHA = {
-    "all": "b43c86d5cd380b7f4f40edc3414cf80c3575caaf1c5bc0919b3e418f934130de",
-    "windows": "7791f9426919a1647aa85f87580e18976396d6c73981a3f34005fd68f9c60070",
+    "all": "76f052a25e18b3c827616ee7f7317b5d56c26784d4382e2121adc5e2a466c81a",
+    "windows": "098d4d58f27933f98cdad101deb877831415af15d294516878b0ce1923d9cb91",
 }
 
 
@@ -64,3 +70,21 @@ def analyze_digest(root: Path, figure: str, hashseed: str) -> str:
 @pytest.mark.parametrize("figure", sorted(GOLDEN_ANALYZE_SHA))
 def test_analyze_json_is_pinned(campaign_root, figure, hashseed):
     assert analyze_digest(campaign_root, figure, hashseed) == GOLDEN_ANALYZE_SHA[figure]
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("figure", sorted(GOLDEN_ANALYZE_SHA))
+def test_analyze_json_is_pinned_in_shards(
+    campaign_root, figure, shards, monkeypatch, capsys, tmp_path
+):
+    from repro.core import shards as sharding
+
+    monkeypatch.setattr(sharding, "shard_count", lambda reader: shards)
+    monkeypatch.chdir(campaign_root)
+    obs_dir = tmp_path / "obs"
+    argv = ["analyze", "--trace", "trace", "--figure", figure, "--json"]
+    assert main(argv + ["--obs-dir", str(obs_dir)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE_SHA[figure]
+    metrics = json.loads((obs_dir / "metrics.json").read_text())
+    assert metrics["counters"]["analytics.shards"] == shards

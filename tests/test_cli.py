@@ -421,7 +421,8 @@ class TestObservability:
         assert main(["obs", "summarize", str(obs_dir)]) == 0
         out = capsys.readouterr().out
         assert f"Trace passes: 1 passes, {reports} reports, " in out
-        assert " reports/s\n" in out
+        shards = metrics["counters"]["analytics.shards"]
+        assert f" reports/s, {shards:.0f} shards\n" in out
 
 
 class TestCompareOverlays:
