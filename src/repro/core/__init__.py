@@ -49,8 +49,6 @@ from repro.core.dynamics import (
     population_turnover,
     session_statistics,
 )
-from repro.core.locality import TrafficMatrix, isp_traffic_matrix
-from repro.core.structure import MeshStructure, mesh_structure
 from repro.core.resilience import ResilienceStats, quality_dip, satisfied_series
 from repro.core.report import (
     format_series,
@@ -99,8 +97,4 @@ __all__ = [
     "partner_stability",
     "population_turnover",
     "session_statistics",
-    "TrafficMatrix",
-    "isp_traffic_matrix",
-    "MeshStructure",
-    "mesh_structure",
 ]

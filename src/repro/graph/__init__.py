@@ -25,24 +25,10 @@ from repro.graph.reciprocity import (
 from repro.graph.degree import (
     DegreeDistribution,
     degree_distribution,
-    distribution_mode,
     powerlaw_fit,
 )
 from repro.graph.random_graphs import gnm_random_graph, gnp_random_graph
 from repro.graph.smallworld import SmallWorldMetrics, small_world_metrics
-from repro.graph.components import (
-    condensation_size,
-    largest_scc_fraction,
-    strongly_connected_components,
-)
-from repro.graph.assortativity import attribute_mixing, degree_assortativity
-from repro.graph.kcore import core_numbers, degeneracy, k_core
-from repro.graph.triads import (
-    DyadCensus,
-    TriangleCensus,
-    dyad_census,
-    triangle_census,
-)
 
 __all__ = [
     "CompactDigraph",
@@ -60,22 +46,9 @@ __all__ = [
     "reciprocity_from_edges",
     "DegreeDistribution",
     "degree_distribution",
-    "distribution_mode",
     "powerlaw_fit",
     "gnm_random_graph",
     "gnp_random_graph",
     "SmallWorldMetrics",
     "small_world_metrics",
-    "condensation_size",
-    "largest_scc_fraction",
-    "strongly_connected_components",
-    "attribute_mixing",
-    "degree_assortativity",
-    "core_numbers",
-    "degeneracy",
-    "k_core",
-    "DyadCensus",
-    "TriangleCensus",
-    "dyad_census",
-    "triangle_census",
 ]

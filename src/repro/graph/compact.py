@@ -364,7 +364,7 @@ class CompactDigraph:
 
         One int-set membership test replaces the two dict lookups plus a
         set probe the mutable class pays per ``has_edge`` — the kernel
-        speedup behind reciprocity and the dyad/triangle censuses.
+        speedup behind reciprocity.
         """
         if self._edge_keys is None:
             n = len(self.labels)
@@ -403,22 +403,3 @@ class CompactDigraph:
         for u, v in self.edges():
             graph.add_edge(u, v)
         return graph
-
-    def to_undirected_compact(self) -> CompactGraph:
-        """Collapse edge direction straight into a :class:`CompactGraph`.
-
-        Equivalent to ``thaw().to_undirected().freeze()`` but built in
-        one pass from the CSR arrays, skipping both mutable graphs.
-        """
-        n = len(self.labels)
-        out_indptr, out_indices = self.out_indptr, self.out_indices
-        in_indptr, in_indices = self.in_indptr, self.in_indices
-        rows = [
-            sorted(
-                set(out_indices[out_indptr[i] : out_indptr[i + 1]])
-                | set(in_indices[in_indptr[i] : in_indptr[i + 1]])
-            )
-            for i in range(n)
-        ]
-        indptr, indices = _csr_rows(rows)
-        return CompactGraph(self.labels, indptr, indices)

@@ -149,11 +149,6 @@ def degree_distribution(
     return DegreeDistribution.from_degrees(degrees_of(graph, kind, nodes))
 
 
-def distribution_mode(dist: DegreeDistribution, *, min_degree: int = 1) -> int:
-    """Convenience wrapper for :meth:`DegreeDistribution.mode`."""
-    return dist.mode(min_degree=min_degree)
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """OLS fit of log10(fraction) ~ alpha * log10(degree) + c."""

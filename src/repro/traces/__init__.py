@@ -21,7 +21,6 @@ reads it.  The reader also takes a lone legacy ``.jsonl[.gz]`` file
 """
 
 from repro.traces.records import PartnerRecord, PeerReport
-from repro.traces.anonymize import IspPreservingAnonymizer
 from repro.traces.health import TraceHealth
 from repro.traces.reporter import build_report, port_for_peer
 from repro.traces.server import TraceServer
@@ -44,7 +43,6 @@ from repro.traces.store import (
 __all__ = [
     "PartnerRecord",
     "PeerReport",
-    "IspPreservingAnonymizer",
     "TraceHealth",
     "build_report",
     "port_for_peer",
