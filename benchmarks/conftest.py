@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import experiments as ex
 from repro.core.experiments import run_campaign
 from repro.network import build_default_database
 from repro.simulator.protocol import SelectionPolicy
@@ -108,6 +109,40 @@ def tree_trace() -> SegmentedTraceReader:
 @pytest.fixture(scope="session")
 def isp_db():
     return build_default_database()
+
+
+@pytest.fixture(scope="session")
+def paper_figures(flagship_trace, isp_db):
+    """``paper_figures(benchmark)``: every flagship figure, from one pass.
+
+    The first test to ask charts every plan the figure suite reads in
+    one pass over the flagship trace, timed by its ``benchmark``; every
+    later test gets the same results and asserts on its own part.
+    Fig. 7 is charted twice: the global graph and China Netcom's.
+    """
+    figures: dict[str, object] = {}
+
+    def charted(benchmark):
+        if not figures:
+            plans = {
+                "fig1": ex.fig1_plan(),
+                "fig2": ex.fig2_plan(isp_db),
+                "fig3": ex.fig3_plan(),
+                "fig4": ex.fig4_plan(),
+                "fig5": ex.fig5_plan(),
+                "fig6": ex.fig6_plan(isp_db),
+                "fig7": ex.fig7_plan(db=isp_db),
+                "fig7 China Netcom": ex.fig7_plan(isp="China Netcom", db=isp_db),
+                "fig8": ex.fig8_plan(isp_db),
+            }
+            figures.update(
+                benchmark.pedantic(
+                    lambda: ex.chart(flagship_trace, plans), rounds=1, iterations=1
+                )
+            )
+        return figures
+
+    return charted
 
 
 def show(title: str, headers, rows) -> None:

@@ -10,7 +10,7 @@ therefore halve the indegree spike — while the abrupt cut-off
 """
 
 from benchmarks.conftest import _cached_trace, show
-from repro.core.experiments import fig4_degree_distributions
+from repro.core.experiments import chart, fig4_plan
 from repro.simulator.protocol import ProtocolConfig
 
 DAY = 86_400.0
@@ -18,7 +18,7 @@ SNAPSHOTS = {"evening": int(0.9 * DAY)}
 
 
 def _indegree(trace):
-    result = fig4_degree_distributions(trace, snapshot_times=SNAPSHOTS)
+    result = chart(trace, {"fig4": fig4_plan(snapshot_times=SNAPSHOTS)})["fig4"]
     return result.kind_at("evening", "in")
 
 

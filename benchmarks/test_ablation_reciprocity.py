@@ -8,17 +8,18 @@ reciprocal.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig8_reciprocity
+from repro.core.experiments import chart, fig8_plan
 
 
 def test_tree_distribution_is_antireciprocal(
     benchmark, uusee_trace, tree_trace, random_trace, isp_db
 ):
-    mesh = benchmark.pedantic(
-        lambda: fig8_reciprocity(uusee_trace, isp_db), rounds=1, iterations=1
-    )
-    tree = fig8_reciprocity(tree_trace, isp_db)
-    random_policy = fig8_reciprocity(random_trace, isp_db)
+    def fig8(trace):
+        return chart(trace, {"fig8": fig8_plan(isp_db)})["fig8"]
+
+    mesh = benchmark.pedantic(lambda: fig8(uusee_trace), rounds=1, iterations=1)
+    tree = fig8(tree_trace)
+    random_policy = fig8(random_trace)
     mesh_rho = mesh.means().all_links
     tree_rho = tree.means().all_links
     random_rho = random_policy.means().all_links

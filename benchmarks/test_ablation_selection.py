@@ -8,16 +8,17 @@ toward the ISP-blind baseline.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig6_intra_isp_degrees
+from repro.core.experiments import chart, fig6_plan
 
 
 def test_random_selection_destroys_isp_clustering(
     benchmark, uusee_trace, random_trace, isp_db
 ):
-    uusee = benchmark.pedantic(
-        lambda: fig6_intra_isp_degrees(uusee_trace, isp_db), rounds=1, iterations=1
-    )
-    blind = fig6_intra_isp_degrees(random_trace, isp_db)
+    def fig6(trace):
+        return chart(trace, {"fig6": fig6_plan(isp_db)})["fig6"]
+
+    uusee = benchmark.pedantic(lambda: fig6(uusee_trace), rounds=1, iterations=1)
+    blind = fig6(random_trace)
     u_in, u_out = uusee.mean_fractions()
     b_in, b_out = blind.mean_fractions()
     show(

@@ -8,7 +8,7 @@ the streaming servers to bootstrap from, and quality collapses.
 """
 
 from benchmarks.conftest import _cached_trace, show
-from repro.core.experiments import fig3_streaming_quality
+from repro.core.experiments import chart, fig3_plan
 from repro.simulator.protocol import ProtocolConfig
 
 
@@ -21,10 +21,11 @@ def test_no_volunteering_collapses_quality(benchmark, uusee_trace):
         with_flash_crowd=False,
         protocol=ProtocolConfig(volunteer_spare_fraction=2.0),
     )
-    with_vol = benchmark.pedantic(
-        lambda: fig3_streaming_quality(uusee_trace), rounds=1, iterations=1
-    )
-    without = fig3_streaming_quality(no_volunteer_trace)
+    def fig3(trace):
+        return chart(trace, {"fig3": fig3_plan()})["fig3"]
+
+    with_vol = benchmark.pedantic(lambda: fig3(uusee_trace), rounds=1, iterations=1)
+    without = fig3(no_volunteer_trace)
     q_on = with_vol.mean_quality("CCTV1")
     q_off = without.mean_quality("CCTV1")
     show(

@@ -15,7 +15,7 @@ from repro.baselines import (
     modern_gnutella_snapshot,
 )
 from repro.baselines.gnutella import ultrapeer_ids
-from repro.core.experiments import fig4_degree_distributions, fig7_small_world
+from repro.core.experiments import chart, fig4_plan, fig7_plan
 from repro.graph import DegreeDistribution, powerlaw_fit, small_world_metrics
 
 DAY = 86_400.0
@@ -24,7 +24,7 @@ SNAPSHOT = {"evening": int(0.9 * DAY)}
 
 def test_degree_distribution_contrast(benchmark, uusee_trace):
     uusee = benchmark.pedantic(
-        lambda: fig4_degree_distributions(uusee_trace, snapshot_times=SNAPSHOT),
+        lambda: chart(uusee_trace, {"fig4": fig4_plan(snapshot_times=SNAPSHOT)})["fig4"],
         rounds=1,
         iterations=1,
     )
@@ -72,7 +72,9 @@ def test_degree_distribution_contrast(benchmark, uusee_trace):
 
 def test_clustering_contrast(benchmark, uusee_trace, isp_db):
     uusee = benchmark.pedantic(
-        lambda: fig7_small_world(uusee_trace, db=isp_db), rounds=1, iterations=1
+        lambda: chart(uusee_trace, {"fig7": fig7_plan(db=isp_db)})["fig7"],
+        rounds=1,
+        iterations=1,
     )
     uusee_ratio = uusee.mean_clustering_ratio(skip_first_hours=6)
 

@@ -12,7 +12,7 @@ figure builds on.
 import statistics
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig5_degree_evolution, fig8_reciprocity
+from repro.core.experiments import chart, fig5_plan, fig8_plan
 from repro.simulator.blocks import BlockSwarm, SwarmConfig
 
 
@@ -30,11 +30,9 @@ def test_flow_model_matches_block_plane(benchmark, uusee_trace, isp_db):
     block_in = statistics.mean(swarm.active_indegrees(threshold=20))
     block_rho = swarm.reciprocity(threshold=20)
 
-    flow_fig5 = fig5_degree_evolution(uusee_trace)
-    flow_in = flow_fig5.mean_indegree(skip_first_hours=6)
-    flow_rho = fig8_reciprocity(uusee_trace, isp_db).means(
-        skip_first_hours=6
-    ).all_links
+    flow = chart(uusee_trace, {"fig5": fig5_plan(), "fig8": fig8_plan(isp_db)})
+    flow_in = flow["fig5"].mean_indegree(skip_first_hours=6)
+    flow_rho = flow["fig8"].means(skip_first_hours=6).all_links
 
     show(
         "Validation: aggregate flow model vs block-accurate plane",

@@ -6,13 +6,10 @@ on the evening of Oct 6, and up to ~1M distinct IPs per day.
 """
 
 from benchmarks.conftest import DAY, FLASH_PEAK, HOUR, show
-from repro.core.experiments import fig1_scale
 
 
-def test_fig1a_simultaneous_peers(benchmark, flagship_trace):
-    result = benchmark.pedantic(
-        lambda: fig1_scale(flagship_trace), rounds=1, iterations=1
-    )
+def test_fig1a_simultaneous_peers(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig1"]
 
     ratio = result.stable_ratio()
     peak_hour = result.peak_hour_of_day()
@@ -43,10 +40,8 @@ def test_fig1a_simultaneous_peers(benchmark, flagship_trace):
     assert boost > 1.3
 
 
-def test_fig1b_daily_distinct_ips(benchmark, flagship_trace):
-    result = benchmark.pedantic(
-        lambda: fig1_scale(flagship_trace), rounds=1, iterations=1
-    )
+def test_fig1b_daily_distinct_ips(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig1"]
     rows = [(d, total, stable) for d, total, stable in result.daily]
     show(
         "Fig. 1(B) daily distinct IPs",

@@ -6,13 +6,10 @@ overseas share.  Distributions do not vary significantly over time.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig2_isp_shares
 
 
-def test_fig2_isp_shares(benchmark, flagship_trace, isp_db):
-    shares = benchmark.pedantic(
-        lambda: fig2_isp_shares(flagship_trace, isp_db), rounds=1, iterations=1
-    )
+def test_fig2_isp_shares(benchmark, paper_figures, isp_db):
+    shares = paper_figures(benchmark)["fig2"]
     ranked = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
     show(
         "Fig. 2 ISP shares",

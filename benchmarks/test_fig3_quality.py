@@ -7,13 +7,10 @@ scalability headline.
 """
 
 from benchmarks.conftest import DAY, FLASH_PEAK, show
-from repro.core.experiments import fig3_streaming_quality
 
 
-def test_fig3_streaming_quality(benchmark, flagship_trace):
-    result = benchmark.pedantic(
-        lambda: fig3_streaming_quality(flagship_trace), rounds=1, iterations=1
-    )
+def test_fig3_streaming_quality(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig3"]
     cctv1 = result.mean_quality("CCTV1")
     cctv4 = result.mean_quality("CCTV4")
     previous_evening = FLASH_PEAK - DAY

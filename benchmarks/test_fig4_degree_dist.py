@@ -8,10 +8,8 @@ closer to a two-segment power law with a heavier tail, flatter at peak
 times.
 """
 
-import pytest
-
 from benchmarks.conftest import show
-from repro.core.experiments import FIG4_SNAPSHOT_TIMES, fig4_degree_distributions
+from repro.core.experiments import FIG4_SNAPSHOT_TIMES
 from repro.graph import powerlaw_fit
 
 MORNING = "9am normal"
@@ -19,15 +17,8 @@ EVENING = "9pm normal"
 CROWD = "9pm flash crowd"
 
 
-@pytest.fixture(scope="module")
-def fig4(flagship_trace):
-    return fig4_degree_distributions(flagship_trace)
-
-
-def test_fig4a_total_partners(benchmark, flagship_trace):
-    result = benchmark.pedantic(
-        lambda: fig4_degree_distributions(flagship_trace), rounds=1, iterations=1
-    )
+def test_fig4a_total_partners(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig4"]
     rows = []
     for label in FIG4_SNAPSHOT_TIMES:
         dist = result.kind_at(label, "partners")
@@ -56,8 +47,8 @@ def test_fig4a_total_partners(benchmark, flagship_trace):
     assert ks.significant(0.01)
 
 
-def test_fig4b_indegree(fig4, benchmark):
-    result = benchmark.pedantic(lambda: fig4, rounds=1, iterations=1)
+def test_fig4b_indegree(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig4"]
     rows = []
     for label in FIG4_SNAPSHOT_TIMES:
         dist = result.kind_at(label, "in")
@@ -78,8 +69,8 @@ def test_fig4b_indegree(fig4, benchmark):
     assert result.kind_at(CROWD, "in").mean() >= result.kind_at(MORNING, "in").mean() - 0.5
 
 
-def test_fig4c_outdegree(fig4, benchmark):
-    result = benchmark.pedantic(lambda: fig4, rounds=1, iterations=1)
+def test_fig4c_outdegree(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig4"]
     rows = []
     for label in FIG4_SNAPSHOT_TIMES:
         dist = result.kind_at(label, "out")

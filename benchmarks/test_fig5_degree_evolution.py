@@ -7,13 +7,10 @@ not need to stream from more of them.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig5_degree_evolution
 
 
-def test_fig5_degree_evolution(benchmark, flagship_trace):
-    result = benchmark.pedantic(
-        lambda: fig5_degree_evolution(flagship_trace), rounds=1, iterations=1
-    )
+def test_fig5_degree_evolution(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig5"]
     mean_in = result.mean_indegree()
     lo, hi = result.partner_count_range()
     summaries = [

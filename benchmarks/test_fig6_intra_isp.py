@@ -7,7 +7,6 @@ more partner choices and can keep the best, largely intra-ISP, links.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig6_intra_isp_degrees
 
 
 def _hourly_mean(result, hours, column="intra"):
@@ -20,12 +19,8 @@ def _hourly_mean(result, hours, column="intra"):
     return vals
 
 
-def test_fig6_intra_isp_degrees(benchmark, flagship_trace, isp_db):
-    result = benchmark.pedantic(
-        lambda: fig6_intra_isp_degrees(flagship_trace, isp_db),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_intra_isp_degrees(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig6"]
     frac_in, frac_out = result.mean_fractions()
     peak = _hourly_mean(result, {20, 21, 22})
     trough = _hourly_mean(result, {4, 5, 6})

@@ -9,15 +9,10 @@ simulation scale absolute L is smaller; the ratios carry the claim.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig7_small_world
 
 
-def test_fig7a_global_small_world(benchmark, flagship_trace, isp_db):
-    result = benchmark.pedantic(
-        lambda: fig7_small_world(flagship_trace, db=isp_db),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig7a_global_small_world(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig7"]
     metrics = [
         m
         for t, m in zip(result.series.times, result.series.column("sw"))
@@ -43,13 +38,10 @@ def test_fig7a_global_small_world(benchmark, flagship_trace, isp_db):
     assert all(m.clustering > 5 * m.random_clustering for m in metrics)
 
 
-def test_fig7b_isp_subgraph(benchmark, flagship_trace, isp_db):
-    netcom = benchmark.pedantic(
-        lambda: fig7_small_world(flagship_trace, isp="China Netcom", db=isp_db),
-        rounds=1,
-        iterations=1,
-    )
-    global_result = fig7_small_world(flagship_trace, db=isp_db)
+def test_fig7b_isp_subgraph(benchmark, paper_figures):
+    figures = paper_figures(benchmark)
+    netcom = figures["fig7 China Netcom"]
+    global_result = figures["fig7"]
 
     def means(result):
         ms = [

@@ -8,13 +8,10 @@ whole, inter-ISP links less.
 """
 
 from benchmarks.conftest import show
-from repro.core.experiments import fig8_reciprocity
 
 
-def test_fig8a_global_reciprocity(benchmark, flagship_trace, isp_db):
-    result = benchmark.pedantic(
-        lambda: fig8_reciprocity(flagship_trace, isp_db), rounds=1, iterations=1
-    )
+def test_fig8a_global_reciprocity(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig8"]
     rows = [
         m
         for t, m in zip(result.series.times, result.series.column("rho"))
@@ -34,10 +31,8 @@ def test_fig8a_global_reciprocity(benchmark, flagship_trace, isp_db):
     assert sum(values) / len(values) > 0.25
 
 
-def test_fig8b_isp_split(benchmark, flagship_trace, isp_db):
-    result = benchmark.pedantic(
-        lambda: fig8_reciprocity(flagship_trace, isp_db), rounds=1, iterations=1
-    )
+def test_fig8b_isp_split(benchmark, paper_figures):
+    result = paper_figures(benchmark)["fig8"]
     means = result.means()
     show(
         "Fig. 8(B) reciprocity by link locality",

@@ -13,11 +13,7 @@ Run:  python examples/flash_crowd_study.py   (about two minutes)
 import tempfile
 from pathlib import Path
 
-from repro.core.experiments import (
-    fig1_scale,
-    fig3_streaming_quality,
-    fig4_degree_distributions,
-)
+from repro.core.experiments import chart, fig1_plan, fig3_plan, fig4_plan
 from repro.core.report import format_table
 from repro.simulator.protocol import ProtocolConfig
 from repro.simulator.system import SystemConfig, UUSeeSystem
@@ -42,10 +38,20 @@ def main() -> None:
     with SegmentedTraceStore(trace_path) as store:
         system = UUSeeSystem(config, store)
         system.run(days=2.5)
-    trace = SegmentedTraceReader(trace_path)
-
-    fig1 = fig1_scale(trace)
-    fig3 = fig3_streaming_quality(trace)
+    times = {
+        "9am day2": 1 * DAY + 9 * HOUR,
+        "9pm normal (day1)": 21.0 * HOUR,
+        "9pm flash (day2)": 1 * DAY + 21.5 * HOUR,
+    }
+    figs = chart(
+        SegmentedTraceReader(trace_path),
+        {
+            "fig1": fig1_plan(),
+            "fig3": fig3_plan(),
+            "fig4": fig4_plan(snapshot_times=times),
+        },
+    )
+    fig1, fig3, fig4 = figs["fig1"], figs["fig3"], figs["fig4"]
     crowd_peak = event.peak_time
 
     # Compare the flash-crowd evening to the previous (normal) evening.
@@ -75,12 +81,6 @@ def main() -> None:
         )
     )
 
-    times = {
-        "9am day2": 1 * DAY + 9 * HOUR,
-        "9pm normal (day1)": 21.0 * HOUR,
-        "9pm flash (day2)": 1 * DAY + 21.5 * HOUR,
-    }
-    fig4 = fig4_degree_distributions(trace, snapshot_times=times)
     rows = [
         [
             label,

@@ -19,7 +19,7 @@ from repro.baselines import (
     modern_gnutella_snapshot,
 )
 from repro.baselines.gnutella import ultrapeer_ids
-from repro.core.experiments import fig4_degree_distributions, run_campaign
+from repro.core.experiments import chart, fig4_plan, run_campaign
 from repro.core.report import format_table
 from repro.graph import DegreeDistribution, powerlaw_fit, small_world_metrics
 from repro.traces import SegmentedTraceReader
@@ -33,9 +33,8 @@ def main() -> None:
     run_campaign(
         trace_path, days=1.0, base_concurrency=400, seed=77, with_flash_crowd=False
     )
-    uusee = fig4_degree_distributions(
-        SegmentedTraceReader(trace_path), snapshot_times={"evening": int(0.9 * DAY)}
-    )
+    plan = fig4_plan(snapshot_times={"evening": int(0.9 * DAY)})
+    uusee = chart(SegmentedTraceReader(trace_path), {"fig4": plan})["fig4"]
     uusee_in = uusee.kind_at("evening", "in")
 
     print("Generating Gnutella snapshots ...")

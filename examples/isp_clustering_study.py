@@ -15,11 +15,7 @@ Run:  python examples/isp_clustering_study.py   (about two minutes)
 import tempfile
 from pathlib import Path
 
-from repro.core.experiments import (
-    fig6_intra_isp_degrees,
-    fig7_small_world,
-    run_campaign,
-)
+from repro.core.experiments import chart, fig6_plan, fig7_plan, run_campaign
 from repro.core.report import format_table
 from repro.simulator.protocol import SelectionPolicy
 from repro.traces import SegmentedTraceReader
@@ -44,10 +40,16 @@ def main() -> None:
     for policy in (SelectionPolicy.UUSEE, SelectionPolicy.RANDOM):
         print(f"Simulating with {policy.value} selection ...")
         trace = run_policy(policy, tmp)
-        fig6 = fig6_intra_isp_degrees(trace)
+        figs = chart(
+            trace,
+            {
+                "fig6": fig6_plan(),
+                "fig7": fig7_plan(),
+                "fig7 netcom": fig7_plan(isp="China Netcom"),
+            },
+        )
+        fig6, fig7_global, fig7_netcom = figs["fig6"], figs["fig7"], figs["fig7 netcom"]
         frac_in, frac_out = fig6.mean_fractions()
-        fig7_global = fig7_small_world(trace)
-        fig7_netcom = fig7_small_world(trace, isp="China Netcom")
         netcom_c = [m.clustering for m in fig7_netcom.metrics()]
         rows.append(
             [

@@ -2,28 +2,40 @@
 """Quickstart: simulate a small UUSee deployment, collect a Magellan
 trace, and compute the paper's headline topology metrics.
 
-Run:  python examples/quickstart.py
-Takes about half a minute.
+Run:  python examples/quickstart.py [TRACE_DIR]
+Takes about half a minute.  The trace is kept under TRACE_DIR when one
+is named; otherwise it lives in a temporary directory removed on exit.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
 from repro.core.experiments import (
-    fig1_scale,
-    fig2_isp_shares,
-    fig3_streaming_quality,
-    fig6_intra_isp_degrees,
-    fig7_small_world,
-    fig8_reciprocity,
+    chart,
+    fig1_plan,
+    fig2_plan,
+    fig3_plan,
+    fig6_plan,
+    fig7_plan,
+    fig8_plan,
     run_campaign,
 )
 from repro.core.report import format_table
 from repro.traces import SegmentedTraceReader
 
 
-def main() -> None:
-    trace_path = Path(tempfile.mkdtemp()) / "quickstart"
+def main(trace_dir: Path | None = None) -> None:
+    if trace_dir is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            quickstart(Path(tmp))
+    else:
+        quickstart(trace_dir)
+        print(f"\nTrace directory: {trace_dir / 'quickstart'}")
+
+
+def quickstart(trace_dir: Path) -> None:
+    trace_path = trace_dir / "quickstart"
     print("Simulating 1.5 days of a ~400-peer UUSee deployment ...")
     run_campaign(
         trace_path,
@@ -32,16 +44,21 @@ def main() -> None:
         seed=42,
         with_flash_crowd=False,
     )
-    trace = SegmentedTraceReader(trace_path)
-
-    fig1 = fig1_scale(trace)
-    fig3 = fig3_streaming_quality(trace)
-    fig6 = fig6_intra_isp_degrees(trace)
-    fig7 = fig7_small_world(trace)
-    fig8 = fig8_reciprocity(trace)
+    figs = chart(
+        SegmentedTraceReader(trace_path),
+        {
+            "fig1": fig1_plan(),
+            "fig2": fig2_plan(),
+            "fig3": fig3_plan(),
+            "fig6": fig6_plan(),
+            "fig7": fig7_plan(),
+            "fig8": fig8_plan(),
+        },
+    )
+    fig1, fig3, fig6, fig7 = figs["fig1"], figs["fig3"], figs["fig6"], figs["fig7"]
 
     frac_in, frac_out = fig6.mean_fractions()
-    rho = fig8.means()
+    rho = figs["fig8"].means()
     rows = [
         ["stable / total peers", fig1.stable_ratio(), "~1/3 (Fig. 1A)"],
         ["daily peak hour", fig1.peak_hour_of_day(), "21:00 (Fig. 1A)"],
@@ -56,12 +73,11 @@ def main() -> None:
     ]
     print()
     print(format_table(["metric", "measured", "paper"], rows, title="Magellan quickstart"))
-    print(f"\nISP shares (Fig. 2): ")
-    shares = fig2_isp_shares(trace)
+    print("\nISP shares (Fig. 2): ")
+    shares = figs["fig2"]
     for name in sorted(shares, key=shares.get, reverse=True):
         print(f"  {name:16s} {shares[name]:.3f}")
-    print(f"\nTrace file: {trace_path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else None)

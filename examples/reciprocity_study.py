@@ -16,7 +16,7 @@ Run:  python examples/reciprocity_study.py   (about three minutes)
 import tempfile
 from pathlib import Path
 
-from repro.core.experiments import fig8_reciprocity, run_campaign
+from repro.core.experiments import chart, fig8_plan, run_campaign
 from repro.core.report import format_table
 from repro.simulator.protocol import SelectionPolicy
 from repro.traces import SegmentedTraceReader
@@ -48,7 +48,7 @@ def main() -> None:
             with_flash_crowd=False,
             policy=policy,
         )
-        means = fig8_reciprocity(SegmentedTraceReader(path)).means()
+        means = chart(SegmentedTraceReader(path), {"fig8": fig8_plan()})["fig8"].means()
         rows.append(
             [
                 policy.value,

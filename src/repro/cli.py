@@ -45,13 +45,7 @@ from repro.core.dynamics import (
     population_turnover,
     session_statistics,
 )
-from repro.core.report import (
-    format_series,
-    format_table,
-    format_trace_health,
-    write_csv,
-)
-from repro.core.timeseries import sample_trace
+from repro.core.report import format_table, format_trace_health
 from repro.obs.exporters import create_observer, finalize_observer
 from repro.obs.summarize import render_summary
 from repro.overlay import PolicyError, available_policies
@@ -61,7 +55,8 @@ from repro.simulator.protocol import SelectionPolicy
 from repro.traces.segments import SegmentedTraceReader
 from repro.traces.store import TraceFormatError
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+#: What ``--figure all`` charts; the windows figure is charted alone.
+FIGURES = tuple(name for name in ex.FIGURES if name != "windows")
 TRACE_HELP = (
     "campaign directory written by `repro run` (a lone legacy "
     ".jsonl[.gz] trace file reads as a one-segment trace)"
@@ -628,189 +623,6 @@ def _query_server_health(target: str) -> dict[str, object]:
     return payload
 
 
-def _render_fig1(csv_dir, result):
-    print(format_series(result.series, ["total", "stable"], title="Fig. 1(A) simultaneous peers"))
-    print()
-    print(format_table(["day", "total IPs", "stable IPs"], result.daily, title="Fig. 1(B) daily distinct IPs"))
-    print(f"\nstable/total ratio: {result.stable_ratio():.3f} (paper: ~1/3)")
-    if csv_dir:
-        rows = zip(result.series.times, result.series.values.get("total", ()), result.series.values.get("stable", ()))
-        write_csv(csv_dir / "fig1a.csv", ["t", "total", "stable"], rows)
-        write_csv(csv_dir / "fig1b.csv", ["day", "total", "stable"], result.daily)
-    return {
-        "times": list(result.series.times),
-        "total": list(result.series.values.get("total", ())),
-        "stable": list(result.series.values.get("stable", ())),
-        "daily": [list(row) for row in result.daily],
-        "stable_ratio": result.stable_ratio(),
-    }
-
-
-def _render_fig2(csv_dir, shares):
-    rows = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
-    print(format_table(["ISP", "share"], rows, title="Fig. 2 ISP shares"))
-    if csv_dir:
-        write_csv(csv_dir / "fig2.csv", ["isp", "share"], rows)
-    return {"shares": dict(rows)}
-
-
-def _render_fig3(csv_dir, result):
-    print(format_series(result.series, list(result.channels), title="Fig. 3 streaming quality"))
-    for name in result.channels:
-        print(f"mean {name}: {result.mean_quality(name):.3f} (paper: ~0.75)")
-    if csv_dir:
-        cols = list(result.channels)
-        rows = [
-            [t] + [row.get(c) for c in cols] for t, row in result.series.rows()
-        ]
-        write_csv(csv_dir / "fig3.csv", ["t"] + cols, rows)
-    return {
-        "times": list(result.series.times),
-        "quality": {name: list(result.series.values.get(name, ())) for name in result.channels},
-        "mean_quality": {name: result.mean_quality(name) for name in result.channels},
-    }
-
-
-def _render_fig4(csv_dir, result):
-    payload = {}
-    for label, kinds in result.distributions.items():
-        rows = [
-            [kind, dist.mode(), round(dist.mean(), 1), dist.max_degree()]
-            for kind, dist in kinds.items()
-        ]
-        print(format_table(["kind", "mode", "mean", "max"], rows, title=f"Fig. 4 degrees @ {label}"))
-        print()
-        payload[label] = {
-            kind: {"mode": dist.mode(), "mean": dist.mean(), "max": dist.max_degree()}
-            for kind, dist in kinds.items()
-        }
-        if csv_dir:
-            for kind, dist in kinds.items():
-                tag = label.replace(" ", "_")
-                write_csv(
-                    csv_dir / f"fig4_{tag}_{kind}.csv",
-                    ["degree", "fraction"],
-                    dist.pmf(),
-                )
-    return {"distributions": payload}
-
-
-def _render_fig5(csv_dir, result):
-    rows = [
-        [t / 3600.0, d.mean_partners, d.mean_indegree, d.mean_outdegree]
-        for t, d in zip(result.series.times, result.series.values.get("degrees", ()))
-    ]
-    print(format_table(["t_hours", "partners", "indegree", "outdegree"], rows, title="Fig. 5 average degrees"))
-    if csv_dir:
-        write_csv(csv_dir / "fig5.csv", ["t_hours", "partners", "in", "out"], rows)
-    return {"columns": ["t_hours", "partners", "indegree", "outdegree"], "rows": rows}
-
-
-def _render_fig6(csv_dir, result):
-    rows = [
-        [t / 3600.0, v.indegree_fraction, v.outdegree_fraction]
-        for t, v in zip(result.series.times, result.series.values.get("intra", ()))
-    ]
-    print(format_table(["t_hours", "intra in", "intra out"], rows, title="Fig. 6 intra-ISP degree fractions"))
-    print(f"ISP-blind baseline: {result.random_baseline:.3f}")
-    if csv_dir:
-        write_csv(csv_dir / "fig6.csv", ["t_hours", "in", "out"], rows)
-    return {
-        "columns": ["t_hours", "intra_in", "intra_out"],
-        "rows": rows,
-        "random_baseline": result.random_baseline,
-    }
-
-
-def _render_fig7(csv_dir, *results):
-    payload = {}
-    for result in results:
-        tag = result.isp or "global"
-        rows = [
-            [t / 3600.0, m.clustering, m.random_clustering, m.path_length, m.random_path_length]
-            for t, m in zip(result.series.times, result.series.values.get("sw", ()))
-        ]
-        print(format_table(
-            ["t_hours", "C", "C_rand", "L", "L_rand"], rows,
-            title=f"Fig. 7 small world ({tag})",
-        ))
-        print()
-        payload[tag] = {
-            "columns": ["t_hours", "C", "C_rand", "L", "L_rand"],
-            "rows": rows,
-        }
-        if csv_dir:
-            write_csv(
-                csv_dir / f"fig7_{tag.replace(' ', '_')}.csv",
-                ["t_hours", "C", "C_rand", "L", "L_rand"],
-                rows,
-            )
-    return payload
-
-
-def _render_fig8(csv_dir, result):
-    rows = [
-        [t / 3600.0, m.all_links, m.intra_isp, m.inter_isp]
-        for t, m in zip(result.series.times, result.series.values.get("rho", ()))
-    ]
-    print(format_table(["t_hours", "rho all", "rho intra", "rho inter"], rows, title="Fig. 8 edge reciprocity"))
-    if csv_dir:
-        write_csv(csv_dir / "fig8.csv", ["t_hours", "all", "intra", "inter"], rows)
-    return {"columns": ["t_hours", "rho_all", "rho_intra", "rho_inter"], "rows": rows}
-
-
-def _analyze_windows(trace, csv_dir, obs):
-    series = ex.windowed_structure(trace, obs=obs)
-    rows = [
-        [
-            t / 3600.0,
-            deg["partners"].num_peers,
-            deg["partners"].mean(),
-            rho,
-            clu,
-        ]
-        for t, deg, rho, clu in zip(
-            series.times,
-            series.values.get("degrees", ()),
-            series.values.get("reciprocity", ()),
-            series.values.get("clustering", ()),
-        )
-    ]
-    print(format_table(
-        ["t_hours", "peers", "mean partners", "rho", "C"],
-        rows,
-        title="per-window structure (incremental)",
-    ))
-    if csv_dir:
-        write_csv(
-            csv_dir / "windows.csv",
-            ["t_hours", "peers", "mean_partners", "rho", "C"],
-            rows,
-        )
-    return {
-        "columns": ["t_hours", "peers", "mean_partners", "rho", "C"],
-        "rows": rows,
-        "analytics": "incremental",
-    }
-
-
-#: Per figure: the plans it samples (Fig. 7 charts the whole stable-peer
-#: graph and China Netcom's subgraph) and the renderer of their results.
-_FIGURES = {
-    "fig1": (lambda: [ex.fig1_plan()], _render_fig1),
-    "fig2": (lambda: [ex.fig2_plan()], _render_fig2),
-    "fig3": (lambda: [ex.fig3_plan()], _render_fig3),
-    "fig4": (lambda: [ex.fig4_plan()], _render_fig4),
-    "fig5": (lambda: [ex.fig5_plan()], _render_fig5),
-    "fig6": (lambda: [ex.fig6_plan()], _render_fig6),
-    "fig7": (
-        lambda: [ex.fig7_plan(), ex.fig7_plan(isp="China Netcom")],
-        _render_fig7,
-    ),
-    "fig8": (lambda: [ex.fig8_plan()], _render_fig8),
-}
-
-
 def _campaign_health_rows(health: dict[str, object]) -> list[list[object]]:
     """Collection/recovery accounting rows from a persisted health.json."""
     counters = health.get("health")
@@ -884,37 +696,24 @@ def _print_campaign_health(trace_path: Path) -> None:
 
 
 def _run_figures(trace, figures, csv_dir, obs) -> dict[str, object]:
-    """Chart ``figures``: every paper figure from one shared trace pass.
+    """Chart ``figures`` from one shared trace pass and render each.
 
     A figure whose result cannot be made (Fig. 4 on a trace too short
     for its instants) is skipped; a strict read error aborts the pass.
     """
-    plans = {
-        (fig, i): plan
-        for fig in figures
-        if fig != "windows"
-        for i, plan in enumerate(_FIGURES[fig][0]())
-    }
-    series = sample_trace(
-        trace, {key: plan.sampling for key, plan in plans.items()}, obs=obs
-    ) if plans else {}
+    if figures == ("windows",):
+        # Looked up at call time: perfbench/tracer.py times the windows
+        # figure by wrapping this driver.
+        results = {"windows": (ex.windowed_structure(trace, obs=obs),)}
+    else:
+        results = ex.chart(trace, figures, obs=obs)
     payloads: dict[str, object] = {}
-    for fig in figures:
-        try:
-            if fig == "windows":
-                payloads[fig] = _analyze_windows(trace, csv_dir, obs)
-            else:
-                results = [
-                    plan.finish(series[key])
-                    for key, plan in plans.items()
-                    if key[0] == fig
-                ]
-                payloads[fig] = _FIGURES[fig][1](csv_dir, *results)
-        except TraceFormatError:
-            raise
-        except ValueError as exc:
-            payloads[fig] = {"skipped": str(exc)}
-            print(f"{fig}: skipped ({exc})")
+    for fig, result in results.items():
+        if isinstance(result, ValueError):
+            payloads[fig] = {"skipped": str(result)}
+            print(f"{fig}: skipped ({result})")
+        else:
+            payloads[fig] = ex.FIGURES[fig].render(csv_dir, *result)
         print()
     return payloads
 

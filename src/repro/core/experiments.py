@@ -1,12 +1,12 @@
-"""Per-figure experiment drivers (DESIGN.md Sec. 3).
+"""Per-figure experiment plans and the one call that charts them (DESIGN.md Sec. 3).
 
-Each ``figN_*`` function turns a trace (any re-iterable of reports, e.g.
-:class:`repro.traces.SegmentedTraceReader`) into exactly the series or
-distributions the corresponding paper figure plots.  Each is a thin
-wrapper over its ``figN_plan``: a :class:`FigurePlan` that says what
-the figure samples and how it finishes, so several figures can share
-one pass over the trace (``repro analyze --figure all`` charts all of
-them from one read).
+Each ``figN_plan`` returns a :class:`FigurePlan`: what the paper figure
+samples from a trace (any re-iterable of reports, e.g.
+:class:`repro.traces.SegmentedTraceReader`) and how it finishes the
+sampled series into exactly what the figure plots.  :data:`FIGURES`
+names every figure ``repro analyze`` charts, with its plans and its
+renderer, and :func:`chart` charts any set of figures or plans from one
+read of the trace.
 ``run_campaign`` produces such traces from the simulator at a chosen
 scale; the CLI, benchmarks and examples share it.
 """
@@ -18,12 +18,13 @@ import json
 from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, Generic, TypeVar, cast
+from collections.abc import Callable, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Generic, NamedTuple, TypeVar, cast
 
 if TYPE_CHECKING:
     from repro.ingest.client import ReportClient
 
+from repro.core import report
 from repro.core.metrics import (
     DailyIpTally,
     DegreeSummary,
@@ -407,6 +408,7 @@ def load_campaign_health(trace_dir: str | Path) -> dict[str, object] | None:
 # ------------------------------------------------------------ figure plans
 
 R = TypeVar("R")
+K = TypeVar("K", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -416,28 +418,12 @@ class FigurePlan(Generic[R]):
     ``sampling`` says which windows and metrics the figure needs from a
     pass over the trace; ``finish`` turns the sampled series into the
     figure's result.  Any number of plans share one pass through
-    :func:`~repro.core.timeseries.sample_trace`.  A plan is single-use:
-    its sampling may tally into state that ``finish`` reads.
+    :func:`chart`.  A plan is single-use: its sampling may tally into
+    state that ``finish`` reads.
     """
 
     sampling: Sampling
     finish: Callable[[SnapshotSeries], R]
-
-    def chart(
-        self,
-        trace: Iterable[PeerReport],
-        *,
-        window_seconds: float = 600.0,
-        obs: AnyObserver = NULL_OBSERVER,
-    ) -> R:
-        """This figure alone, from one pass over ``trace``."""
-        series = sample_trace(
-            trace,
-            {None: self.sampling},
-            window_seconds=window_seconds,
-            obs=obs,
-        )
-        return self.finish(series[None])
 
 
 # ------------------------------------------------------------------ Fig. 1
@@ -507,19 +493,6 @@ def fig1_plan(*, observe_every: float = 3_600.0) -> FigurePlan[Fig1Result]:
     )
 
 
-def fig1_scale(
-    trace: Iterable[PeerReport],
-    *,
-    window_seconds: float = 600.0,
-    observe_every: float = 3_600.0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig1Result:
-    """Fig. 1: simultaneous peer counts and daily distinct IPs."""
-    return fig1_plan(observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, obs=obs
-    )
-
-
 # ------------------------------------------------------------------ Fig. 2
 
 
@@ -545,20 +518,6 @@ def _mean_shares(series: SnapshotSeries) -> dict[str, float]:
         for name, value in shares.items():
             totals[name] = totals.get(name, 0.0) + value
     return {name: value / count for name, value in totals.items()} if count else {}
-
-
-def fig2_isp_shares(
-    trace: Iterable[PeerReport],
-    db: IspDatabase | None = None,
-    *,
-    window_seconds: float = 600.0,
-    observe_every: float = 6 * SECONDS_PER_HOUR,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> dict[str, float]:
-    """Fig. 2: peer shares per ISP, averaged over sampled snapshots."""
-    return fig2_plan(db, observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, obs=obs
-    )
 
 
 # ------------------------------------------------------------------ Fig. 3
@@ -611,24 +570,6 @@ def fig3_plan(
     )
 
 
-def fig3_streaming_quality(
-    trace: Iterable[PeerReport],
-    *,
-    channels: dict[str, int] | None = None,
-    stream_rate_kbps: float = 400.0,
-    window_seconds: float = 600.0,
-    observe_every: float = 3_600.0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig3Result:
-    """Fig. 3: fraction of peers with receiving rate >= 90% of the rate."""
-    plan = fig3_plan(
-        channels=channels,
-        stream_rate_kbps=stream_rate_kbps,
-        observe_every=observe_every,
-    )
-    return plan.chart(trace, window_seconds=window_seconds, obs=obs)
-
-
 # ------------------------------------------------------------------ Fig. 4
 
 
@@ -673,18 +614,6 @@ def fig4_plan(
     )
 
 
-def fig4_degree_distributions(
-    trace: Iterable[PeerReport],
-    *,
-    snapshot_times: dict[str, float] | None = None,
-    window_seconds: float = 600.0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig4Result:
-    """Fig. 4: partner/in/out degree distributions at selected instants."""
-    plan = fig4_plan(snapshot_times=snapshot_times, window_seconds=window_seconds)
-    return plan.chart(trace, window_seconds=window_seconds, obs=obs)
-
-
 # ------------------------------------------------------------------ Fig. 5
 
 
@@ -721,19 +650,6 @@ def fig5_plan(*, observe_every: float = 3_600.0) -> FigurePlan[Fig5Result]:
     """Fig. 5: mean degrees per sampled window."""
     return FigurePlan(
         Sampling({"degrees": average_degrees}, every=observe_every), Fig5Result
-    )
-
-
-def fig5_degree_evolution(
-    trace: Iterable[PeerReport],
-    *,
-    window_seconds: float = 600.0,
-    observe_every: float = 3_600.0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig5Result:
-    """Fig. 5: evolution of mean partner count and active in/outdegree."""
-    return fig5_plan(observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -775,20 +691,6 @@ def fig6_plan(
         lambda series: Fig6Result(
             series=series, random_baseline=random_intra_isp_baseline(isps)
         ),
-    )
-
-
-def fig6_intra_isp_degrees(
-    trace: Iterable[PeerReport],
-    db: IspDatabase | None = None,
-    *,
-    window_seconds: float = 600.0,
-    observe_every: float = 3_600.0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig6Result:
-    """Fig. 6: average intra-ISP proportion of active degrees over time."""
-    return fig6_plan(db, observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, obs=obs
     )
 
 
@@ -844,24 +746,6 @@ def fig7_plan(
     )
 
 
-def fig7_small_world(
-    trace: Iterable[PeerReport],
-    *,
-    isp: str | None = None,
-    db: IspDatabase | None = None,
-    window_seconds: float = 600.0,
-    observe_every: float = 6 * SECONDS_PER_HOUR,
-    seed: int = 0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig7Result:
-    """Fig. 7: C and L of the stable-peer graph vs matched random graphs.
-
-    Pass ``isp='China Netcom'`` for the Fig. 7(B) ISP subgraph variant.
-    """
-    plan = fig7_plan(isp=isp, db=db, observe_every=observe_every, seed=seed)
-    return plan.chart(trace, window_seconds=window_seconds, obs=obs)
-
-
 # ------------------------------------------------------------------ Fig. 8
 
 
@@ -904,20 +788,6 @@ def fig8_plan(
     )
 
 
-def fig8_reciprocity(
-    trace: Iterable[PeerReport],
-    db: IspDatabase | None = None,
-    *,
-    window_seconds: float = 600.0,
-    observe_every: float = 3_600.0,
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Fig8Result:
-    """Fig. 8: Garlaschelli-Loffredo reciprocity, global and ISP-split."""
-    return fig8_plan(db, observe_every=observe_every).chart(
-        trace, window_seconds=window_seconds, obs=obs
-    )
-
-
 # ------------------------------------------- windowed structure series
 
 
@@ -937,7 +807,7 @@ def _window_clustering(snapshot: TopologySnapshot) -> float:
     return average_clustering(snapshot.stable_undirected_compact())
 
 
-#: The per-window structural metrics :func:`windowed_structure` maintains
+#: The per-window structural metrics :func:`windows_plan` maintains
 #: incrementally, as the snapshot kernels that are its test oracle.
 WINDOW_STRUCTURE_METRICS: dict[str, MetricFn] = {
     "degrees": _window_degrees,
@@ -946,22 +816,21 @@ WINDOW_STRUCTURE_METRICS: dict[str, MetricFn] = {
 }
 
 
-def windowed_structure(
-    trace: Iterable[PeerReport],
+def windows_plan(
     *,
     window_seconds: float = 600.0,
     observe_every: float | None = None,
     active_threshold: int = 10,
     obs: AnyObserver = NULL_OBSERVER,
-) -> SnapshotSeries:
+) -> FigurePlan[SnapshotSeries]:
     """Per-window degree/reciprocity/clustering series over a trace.
 
-    One :class:`~repro.soa.incremental.IncrementalWindowMetrics` rides a
-    :func:`~repro.core.timeseries.sample_trace` pass as its
-    ``on_window`` consumer: the delta-maintained state advances on every
-    window and yields a row on each window starting on a multiple of
-    ``observe_every`` (default: every window).  The rows equal
-    :func:`~repro.core.timeseries.observe` with
+    One :class:`~repro.soa.incremental.IncrementalWindowMetrics` rides
+    the pass as the sampling's ``on_window`` consumer: the
+    delta-maintained state advances on every window and yields a row on
+    each window starting on a multiple of ``observe_every`` (default:
+    every window; ``window_seconds`` must match the pass).  The rows
+    equal :func:`~repro.core.timeseries.observe` with
     :data:`WINDOW_STRUCTURE_METRICS` bit for bit; no snapshot is built.
     """
     from repro.soa.incremental import IncrementalWindowMetrics
@@ -976,14 +845,117 @@ def windowed_structure(
         return row
 
     every = window_seconds if observe_every is None else observe_every
-    sampling = Sampling({}, every=every, on_window=advance)
-    return sample_trace(
-        trace,
-        {None: sampling},
+    return FigurePlan(Sampling({}, every=every, on_window=advance), lambda series: series)
+
+
+def windowed_structure(
+    trace: Iterable[PeerReport],
+    *,
+    window_seconds: float = 600.0,
+    observe_every: float | None = None,
+    active_threshold: int = 10,
+    obs: AnyObserver = NULL_OBSERVER,
+) -> SnapshotSeries:
+    """The windows figure alone: :func:`windows_plan` charted in one pass."""
+    plan = windows_plan(
         window_seconds=window_seconds,
+        observe_every=observe_every,
         active_threshold=active_threshold,
         obs=obs,
-    )[None]
+    )
+    return chart(trace, {None: plan}, window_seconds=window_seconds, obs=obs)[None]
+
+
+# -------------------------------------------------------- the figure table
+
+
+class Figure(NamedTuple):
+    """One figure ``repro analyze`` charts: its plans and their renderer.
+
+    ``plans(window_seconds, obs)`` makes fresh plans for a pass of that
+    window length; ``render(csv_dir, *results)`` prints their results,
+    writes the figure's CSV files into ``csv_dir`` (when set) and
+    returns the figure's JSON payload.
+    """
+
+    plans: Callable[[float, AnyObserver], tuple[FigurePlan[Any], ...]]
+    render: Callable[..., dict[str, object]]
+
+
+#: Every figure by its ``repro analyze --figure`` name.  Fig. 7 charts
+#: the whole stable-peer graph and China Netcom's subgraph.
+FIGURES: dict[str, Figure] = {
+    "fig1": Figure(lambda w, obs: (fig1_plan(),), report.render_fig1),
+    "fig2": Figure(lambda w, obs: (fig2_plan(),), report.render_fig2),
+    "fig3": Figure(lambda w, obs: (fig3_plan(),), report.render_fig3),
+    "fig4": Figure(lambda w, obs: (fig4_plan(window_seconds=w),), report.render_fig4),
+    "fig5": Figure(lambda w, obs: (fig5_plan(),), report.render_fig5),
+    "fig6": Figure(lambda w, obs: (fig6_plan(),), report.render_fig6),
+    "fig7": Figure(
+        lambda w, obs: (fig7_plan(), fig7_plan(isp="China Netcom")), report.render_fig7
+    ),
+    "fig8": Figure(lambda w, obs: (fig8_plan(),), report.render_fig8),
+    "windows": Figure(
+        lambda w, obs: (windows_plan(window_seconds=w, obs=obs),), report.render_windows
+    ),
+}
+
+
+def chart(
+    trace: Iterable[PeerReport],
+    figures: Iterable[str] | Mapping[K, FigurePlan[Any]],
+    *,
+    window_seconds: float = 600.0,
+    obs: AnyObserver = NULL_OBSERVER,
+) -> dict[Any, Any]:
+    """Chart figures from one pass over ``trace``.
+
+    ``figures`` is either names from :data:`FIGURES`, each mapped to the
+    tuple of its plans' results (Fig. 7: global, then China Netcom), or
+    explicit plans by key (an ablation's or an ISP's variant), each
+    mapped to its plan's result.  Every plan samples the same single
+    :func:`~repro.core.timeseries.sample_trace` pass.  A figure whose
+    result cannot be made (its ``finish`` raises ``ValueError``: Fig. 4
+    on a trace too short for its instants) maps to that error instead;
+    an error reading the trace is raised.
+    """
+    by_name = not isinstance(figures, Mapping)
+    if isinstance(figures, Mapping):
+        groups = {key: (plan,) for key, plan in figures.items()}
+    else:
+        groups = {name: FIGURES[name].plans(window_seconds, obs) for name in figures}
+    series = sample_trace(
+        trace,
+        {
+            (key, i): plan.sampling
+            for key, plans in groups.items()
+            for i, plan in enumerate(plans)
+        },
+        window_seconds=window_seconds,
+        obs=obs,
+    )
+    results: dict[Any, Any] = {}
+    for key, plans in groups.items():
+        try:
+            done = tuple(plan.finish(series[key, i]) for i, plan in enumerate(plans))
+        except ValueError as exc:
+            results[key] = exc
+        else:
+            results[key] = done if by_name else done[0]
+    return results
+
+
+# perfbench/tracer.py looks these old driver names up in every analyze
+# worker and wraps them, so they stay until it stops; nothing in the
+# repository calls them.  Chart through :func:`chart` instead.
+fig1_scale = chart
+fig2_isp_shares = chart
+fig3_streaming_quality = chart
+fig4_degree_distributions = chart
+fig5_degree_evolution = chart
+fig6_intra_isp_degrees = chart
+fig7_small_world = chart
+fig8_reciprocity = chart
 
 
 # -------------------------------------------------- overlay comparison

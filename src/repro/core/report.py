@@ -2,6 +2,8 @@
 
 The benchmark harness prints the same rows/series the paper's figures
 plot; these helpers keep that output aligned and machine-readable.
+The figure renderers at the end print what ``repro analyze`` shows of
+each figure.
 """
 
 from __future__ import annotations
@@ -9,9 +11,21 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.timeseries import SnapshotSeries
 from repro.traces.health import TraceHealth
+
+if TYPE_CHECKING:
+    from repro.core.experiments import (
+        Fig1Result,
+        Fig3Result,
+        Fig4Result,
+        Fig5Result,
+        Fig6Result,
+        Fig7Result,
+        Fig8Result,
+    )
 
 
 def _fmt(value: object, precision: int) -> str:
@@ -86,3 +100,175 @@ def write_csv(
         for row in rows:
             writer.writerow(list(row))
     return path
+
+
+# ----------------------------------------------------------- figures
+#
+# Each renderer prints one figure's tables, writes its CSV files into
+# ``csv_dir`` (when set) and returns its ``repro analyze --json``
+# payload; ``repro.core.experiments.FIGURES`` pairs it with its plans.
+
+
+def render_fig1(csv_dir: Path | None, result: Fig1Result) -> dict[str, object]:
+    print(format_series(result.series, ["total", "stable"], title="Fig. 1(A) simultaneous peers"))
+    print()
+    print(format_table(["day", "total IPs", "stable IPs"], result.daily, title="Fig. 1(B) daily distinct IPs"))
+    print(f"\nstable/total ratio: {result.stable_ratio():.3f} (paper: ~1/3)")
+    if csv_dir:
+        rows = zip(result.series.times, result.series.values.get("total", ()), result.series.values.get("stable", ()))
+        write_csv(csv_dir / "fig1a.csv", ["t", "total", "stable"], rows)
+        write_csv(csv_dir / "fig1b.csv", ["day", "total", "stable"], result.daily)
+    return {
+        "times": list(result.series.times),
+        "total": list(result.series.values.get("total", ())),
+        "stable": list(result.series.values.get("stable", ())),
+        "daily": [list(row) for row in result.daily],
+        "stable_ratio": result.stable_ratio(),
+    }
+
+
+def render_fig2(csv_dir: Path | None, shares: dict[str, float]) -> dict[str, object]:
+    rows = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
+    print(format_table(["ISP", "share"], rows, title="Fig. 2 ISP shares"))
+    if csv_dir:
+        write_csv(csv_dir / "fig2.csv", ["isp", "share"], rows)
+    return {"shares": dict(rows)}
+
+
+def render_fig3(csv_dir: Path | None, result: Fig3Result) -> dict[str, object]:
+    print(format_series(result.series, list(result.channels), title="Fig. 3 streaming quality"))
+    for name in result.channels:
+        print(f"mean {name}: {result.mean_quality(name):.3f} (paper: ~0.75)")
+    if csv_dir:
+        cols = list(result.channels)
+        rows = [
+            [t] + [row.get(c) for c in cols] for t, row in result.series.rows()
+        ]
+        write_csv(csv_dir / "fig3.csv", ["t"] + cols, rows)
+    return {
+        "times": list(result.series.times),
+        "quality": {name: list(result.series.values.get(name, ())) for name in result.channels},
+        "mean_quality": {name: result.mean_quality(name) for name in result.channels},
+    }
+
+
+def render_fig4(csv_dir: Path | None, result: Fig4Result) -> dict[str, object]:
+    payload = {}
+    for label, kinds in result.distributions.items():
+        rows = [
+            [kind, dist.mode(), round(dist.mean(), 1), dist.max_degree()]
+            for kind, dist in kinds.items()
+        ]
+        print(format_table(["kind", "mode", "mean", "max"], rows, title=f"Fig. 4 degrees @ {label}"))
+        print()
+        payload[label] = {
+            kind: {"mode": dist.mode(), "mean": dist.mean(), "max": dist.max_degree()}
+            for kind, dist in kinds.items()
+        }
+        if csv_dir:
+            for kind, dist in kinds.items():
+                tag = label.replace(" ", "_")
+                write_csv(
+                    csv_dir / f"fig4_{tag}_{kind}.csv",
+                    ["degree", "fraction"],
+                    dist.pmf(),
+                )
+    return {"distributions": payload}
+
+
+def render_fig5(csv_dir: Path | None, result: Fig5Result) -> dict[str, object]:
+    rows = [
+        [t / 3600.0, d.mean_partners, d.mean_indegree, d.mean_outdegree]
+        for t, d in zip(result.series.times, result.series.values.get("degrees", ()))
+    ]
+    print(format_table(["t_hours", "partners", "indegree", "outdegree"], rows, title="Fig. 5 average degrees"))
+    if csv_dir:
+        write_csv(csv_dir / "fig5.csv", ["t_hours", "partners", "in", "out"], rows)
+    return {"columns": ["t_hours", "partners", "indegree", "outdegree"], "rows": rows}
+
+
+def render_fig6(csv_dir: Path | None, result: Fig6Result) -> dict[str, object]:
+    rows = [
+        [t / 3600.0, v.indegree_fraction, v.outdegree_fraction]
+        for t, v in zip(result.series.times, result.series.values.get("intra", ()))
+    ]
+    print(format_table(["t_hours", "intra in", "intra out"], rows, title="Fig. 6 intra-ISP degree fractions"))
+    print(f"ISP-blind baseline: {result.random_baseline:.3f}")
+    if csv_dir:
+        write_csv(csv_dir / "fig6.csv", ["t_hours", "in", "out"], rows)
+    return {
+        "columns": ["t_hours", "intra_in", "intra_out"],
+        "rows": rows,
+        "random_baseline": result.random_baseline,
+    }
+
+
+def render_fig7(csv_dir: Path | None, *results: Fig7Result) -> dict[str, object]:
+    payload = {}
+    for result in results:
+        tag = result.isp or "global"
+        rows = [
+            [t / 3600.0, m.clustering, m.random_clustering, m.path_length, m.random_path_length]
+            for t, m in zip(result.series.times, result.series.values.get("sw", ()))
+        ]
+        print(format_table(
+            ["t_hours", "C", "C_rand", "L", "L_rand"], rows,
+            title=f"Fig. 7 small world ({tag})",
+        ))
+        print()
+        payload[tag] = {
+            "columns": ["t_hours", "C", "C_rand", "L", "L_rand"],
+            "rows": rows,
+        }
+        if csv_dir:
+            write_csv(
+                csv_dir / f"fig7_{tag.replace(' ', '_')}.csv",
+                ["t_hours", "C", "C_rand", "L", "L_rand"],
+                rows,
+            )
+    return payload
+
+
+def render_fig8(csv_dir: Path | None, result: Fig8Result) -> dict[str, object]:
+    rows = [
+        [t / 3600.0, m.all_links, m.intra_isp, m.inter_isp]
+        for t, m in zip(result.series.times, result.series.values.get("rho", ()))
+    ]
+    print(format_table(["t_hours", "rho all", "rho intra", "rho inter"], rows, title="Fig. 8 edge reciprocity"))
+    if csv_dir:
+        write_csv(csv_dir / "fig8.csv", ["t_hours", "all", "intra", "inter"], rows)
+    return {"columns": ["t_hours", "rho_all", "rho_intra", "rho_inter"], "rows": rows}
+
+
+def render_windows(csv_dir: Path | None, series: SnapshotSeries) -> dict[str, object]:
+    rows = [
+        [
+            t / 3600.0,
+            deg["partners"].num_peers,
+            deg["partners"].mean(),
+            rho,
+            clu,
+        ]
+        for t, deg, rho, clu in zip(
+            series.times,
+            series.values.get("degrees", ()),
+            series.values.get("reciprocity", ()),
+            series.values.get("clustering", ()),
+        )
+    ]
+    print(format_table(
+        ["t_hours", "peers", "mean partners", "rho", "C"],
+        rows,
+        title="per-window structure (incremental)",
+    ))
+    if csv_dir:
+        write_csv(
+            csv_dir / "windows.csv",
+            ["t_hours", "peers", "mean_partners", "rho", "C"],
+            rows,
+        )
+    return {
+        "columns": ["t_hours", "peers", "mean_partners", "rho", "C"],
+        "rows": rows,
+        "analytics": "incremental",
+    }

@@ -11,8 +11,7 @@ server, which appends them to a trace store.
 Because the real collection path was a lossy Internet UDP path, this
 package also carries a fault-injection layer (``FaultyChannel``) and a
 dirty-trace-tolerant read path (``SegmentedTraceReader(tolerant=True)``,
-``iter_windows(tolerant=True)``) whose accounting lands in a
-``TraceHealth``.
+built on ``sanitize``) whose accounting lands in a ``TraceHealth``.
 
 On disk a trace is a campaign directory of JSONL(.gz) segments under a
 manifest: ``SegmentedTraceStore`` writes it and ``SegmentedTraceReader``

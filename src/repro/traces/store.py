@@ -115,23 +115,18 @@ def iter_windows(
     window_seconds: float,
     *,
     start: float = 0.0,
-    tolerant: bool = False,
-    health: TraceHealth | None = None,
 ) -> Iterator[tuple[float, list[PeerReport]]]:
     """Group time-ordered reports into consecutive windows.
 
     Yields ``(window_start, reports_in_window)`` for every non-empty
-    window.  In strict mode (default), raises :class:`TraceFormatError`
-    (a ``ValueError``) if input order regresses across a window boundary
-    (a corrupted or unsorted trace).  With ``tolerant=True`` the stream
-    is first passed through :func:`sanitize` (slack of one window), so
-    bounded reordering is repaired and hopelessly late records are
-    quarantined into ``health`` instead of raising.
+    window.  Raises :class:`TraceFormatError` (a ``ValueError``) if input
+    order regresses across a window boundary (a corrupted or unsorted
+    trace).  To window a dirty stream, pass it through :func:`sanitize`
+    first, or read it with a tolerant
+    :class:`~repro.traces.segments.SegmentedTraceReader`.
     """
     if window_seconds <= 0:
         raise ValueError("window must be positive")
-    if tolerant:
-        reports = sanitize(reports, slack_s=window_seconds, health=health)
     current_start: float | None = None
     bucket: list[PeerReport] = []
     for report in reports:

@@ -69,13 +69,18 @@ def force(monkeypatch):
     return set_count
 
 
-def charted(trace, samplings, **kwargs):
-    """``sample_trace``'s series and the counters of an observer it fed."""
+def observed(run):
+    """``run(obs)``'s result and the counters and span counts of ``obs``."""
     obs = Observer()
-    series = sample_trace(trace, samplings, obs=obs, **kwargs)
+    result = run(obs)
     counters = obs.registry.counters()
     spans = {n: h.count for n, h in obs.registry.histograms().items()}
-    return series, counters, spans
+    return result, counters, spans
+
+
+def charted(trace, samplings, **kwargs):
+    """``sample_trace``'s series and the counters of an observer it fed."""
+    return observed(lambda obs: sample_trace(trace, samplings, obs=obs, **kwargs))
 
 
 def figure_plans():
@@ -89,9 +94,7 @@ def figure_plans():
 
 
 def all_figures(trace):
-    chosen = figure_plans()
-    series, counters, spans = charted(trace, {k: p.sampling for k, p in chosen.items()})
-    return {k: p.finish(series[k]) for k, p in chosen.items()}, counters, spans
+    return observed(lambda obs: ex.chart(trace, figure_plans(), obs=obs))
 
 
 def windows_of(segment: Path) -> list[float]:

@@ -43,59 +43,71 @@ def plans():
 
 @pytest.fixture(scope="module")
 def shared(small_trace):
-    chosen = plans()
-    series = sample_trace(small_trace, {k: p.sampling for k, p in chosen.items()})
-    return {key: plan.finish(series[key]) for key, plan in chosen.items()}
+    return ex.chart(small_trace, plans())
+
+
+def chart_alone(trace, key):
+    """The figure of ``plans()[key]`` charted in a pass of its own."""
+    return ex.chart(trace, {key: plans()[key]})[key]
 
 
 class TestSharedPassEqualsSeparatePasses:
     def test_fig1_series_and_daily_rows(self, small_trace, shared):
-        alone = ex.fig1_scale(small_trace)
+        alone = chart_alone(small_trace, "fig1")
         assert shared["fig1"].series == alone.series
         assert shared["fig1"].daily == alone.daily
         assert len(alone.daily) == 2
 
     def test_fig2_shares(self, small_trace, shared):
-        assert shared["fig2"] == ex.fig2_isp_shares(small_trace)
+        assert shared["fig2"] == chart_alone(small_trace, "fig2")
 
     def test_fig3_series(self, small_trace, shared):
-        alone = ex.fig3_streaming_quality(small_trace)
+        alone = chart_alone(small_trace, "fig3")
         assert shared["fig3"].series == alone.series
         assert shared["fig3"].channels == alone.channels
 
     def test_fig4_distributions(self, small_trace, shared):
-        alone = ex.fig4_degree_distributions(small_trace, snapshot_times=FIG4_TIMES)
+        alone = chart_alone(small_trace, "fig4")
         assert shared["fig4"].distributions == alone.distributions
         assert list(shared["fig4"].distributions) == list(FIG4_TIMES)
 
     def test_fig5_and_fig6_series(self, small_trace, shared):
-        assert shared["fig5"].series == ex.fig5_degree_evolution(small_trace).series
-        alone = ex.fig6_intra_isp_degrees(small_trace)
+        assert shared["fig5"].series == chart_alone(small_trace, "fig5").series
+        alone = chart_alone(small_trace, "fig6")
         assert shared["fig6"].series == alone.series
         assert shared["fig6"].random_baseline == alone.random_baseline
 
     def test_fig7_both_graph_families(self, small_trace, shared):
-        assert shared["fig7"].series == ex.fig7_small_world(small_trace).series
-        alone = ex.fig7_small_world(small_trace, isp="China Netcom")
+        assert shared["fig7"].series == chart_alone(small_trace, "fig7").series
+        alone = chart_alone(small_trace, "fig7 netcom")
         assert shared["fig7 netcom"].series == alone.series
         assert shared["fig7 netcom"].isp == "China Netcom"
 
     def test_fig8_series(self, small_trace, shared):
-        assert shared["fig8"].series == ex.fig8_reciprocity(small_trace).series
+        assert shared["fig8"].series == chart_alone(small_trace, "fig8").series
+
+    def test_names_chart_the_table_plans(self, small_trace, shared):
+        by_name = ex.chart(small_trace, ["fig2", "fig7", "fig4"])
+        assert by_name["fig2"] == (shared["fig2"],)
+        global_result, netcom = by_name["fig7"]
+        assert global_result.series == shared["fig7"].series
+        assert netcom.series == shared["fig7 netcom"].series
+        # the default Fig. 4 instants lie beyond the two-day trace
+        assert isinstance(by_name["fig4"], ValueError)
 
     def test_windows_sampling_shares_the_figures_pass(self, small_trace):
-        chosen = plans()
         state = IncrementalWindowMetrics()
-        samplings = {key: plan.sampling for key, plan in chosen.items()}
-        samplings["windows"] = Sampling({}, every=600.0, on_window=state.update)
+        chosen = plans()
+        chosen["windows"] = ex.FigurePlan(
+            Sampling({}, every=600.0, on_window=state.update), lambda series: series
+        )
         trace = CountingTrace(small_trace)
-        series = sample_trace(trace, samplings)
+        together = ex.chart(trace, chosen)
         assert trace.passes == 1
-        for key, plan in plans().items():
-            separate = plan.chart(small_trace)
-            assert chosen[key].finish(series[key]) == separate, key
+        for key in plans():
+            assert together[key] == chart_alone(small_trace, key), key
         alone = ex.windowed_structure(small_trace)
-        assert series["windows"] == alone
+        assert together["windows"] == alone
         assert alone == observe(small_trace, ex.WINDOW_STRUCTURE_METRICS)
         assert len(alone) == state.windows_processed
 
@@ -112,8 +124,7 @@ def hourly_reports(hours):
 class TestSampleTrace:
     def test_reads_the_trace_once(self):
         trace = CountingTrace(hourly_reports(6))
-        chosen = plans()
-        sample_trace(trace, {k: p.sampling for k, p in chosen.items()})
+        ex.chart(trace, plans())
         assert trace.passes == 1
 
     def test_snapshot_per_due_window_only(self):

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.core.experiments import fig6_intra_isp_degrees, run_campaign
+from repro.core.experiments import chart, fig6_plan, run_campaign
 from repro.traces import SegmentedTraceReader
 from repro.workloads import presets
 
@@ -54,11 +54,11 @@ class TestTraceDeterminism:
 
     def test_metrics_identical_across_reads(self, twin_traces):
         a, _ = twin_traces
-        first = fig6_intra_isp_degrees(SegmentedTraceReader(a)).mean_fractions(
-            skip_first_hours=2
-        )
-        second = fig6_intra_isp_degrees(SegmentedTraceReader(a)).mean_fractions(
-            skip_first_hours=2
+        first, second = (
+            chart(SegmentedTraceReader(a), {"fig6": fig6_plan()})["fig6"].mean_fractions(
+                skip_first_hours=2
+            )
+            for _ in range(2)
         )
         assert first == second
 

@@ -286,7 +286,9 @@ class TestTolerantWindows:
         with pytest.raises(ValueError):
             list(iter_windows(reports, 600.0))
         health = TraceHealth()
-        windows = list(iter_windows(reports, 600.0, tolerant=True, health=health))
+        windows = list(
+            iter_windows(sanitize(reports, slack_s=600.0, health=health), 600.0)
+        )
         assert [w for w, _ in windows] == [0.0, 600.0, 1200.0]
         assert [len(rs) for _, rs in windows] == [2, 2, 1]
         assert health.reordered == 1
