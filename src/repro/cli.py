@@ -38,6 +38,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core import experiments as ex
 from repro.core.dynamics import (
@@ -55,12 +56,43 @@ from repro.simulator.protocol import SelectionPolicy
 from repro.traces.segments import SegmentedTraceReader
 from repro.traces.store import TraceFormatError
 
+if TYPE_CHECKING:
+    from repro.fleet.plan import IngestSpec
+
 #: What ``--figure all`` charts; the windows figure is charted alone.
 FIGURES = tuple(name for name in ex.FIGURES if name != "windows")
 TRACE_HELP = (
     "campaign directory written by `repro run` (a lone legacy "
     ".jsonl[.gz] trace file reads as a one-segment trace)"
 )
+
+
+def _add_obs_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--obs-dir", type=Path,
+        help="record metrics and spans into this directory (read it with "
+        "`repro obs summarize`; `serve` also answers METRICS)",
+    )
+
+
+def _add_segment_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--segment-records", type=int, default=100_000,
+        help="records per trace segment before rotation",
+    )
+    parser.add_argument(
+        "--compress", action="store_true", help="gzip trace segments"
+    )
+
+
+def _add_trace_options(parser: argparse.ArgumentParser, *, required: bool) -> None:
+    parser.add_argument("--trace", type=Path, required=required, help=TRACE_HELP)
+    parser.add_argument(
+        "--tolerant",
+        action="store_true",
+        help="read a dirty trace (skip/dedup/re-sort bad records) and "
+        "print a trace-health summary",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,22 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-last", type=int, default=3,
         help="checkpoints retained in rotation",
     )
-    run.add_argument(
-        "--segment-records", type=int, default=100_000,
-        help="records per trace segment before rotation",
-    )
-    run.add_argument(
-        "--compress", action="store_true", help="gzip trace segments"
-    )
+    _add_segment_options(run)
     run.add_argument(
         "--fsync", action="store_true",
         help="fsync the trace on every flush (bounds power-cut loss)",
     )
-    run.add_argument(
-        "--obs-dir", type=Path,
-        help="record observability data (metrics + spans) into this "
-        "directory; inspect it with `repro obs summarize`",
-    )
+    _add_obs_dir(run)
     run.add_argument(
         "--ingest", metavar="TARGET",
         help="report to a running `repro serve` instead of a local "
@@ -193,13 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the bound ports as one-line JSON once listening "
         "(the rendezvous for `run --ingest <path>`)",
     )
-    serve.add_argument(
-        "--segment-records", type=int, default=100_000,
-        help="records per trace segment before rotation",
-    )
-    serve.add_argument(
-        "--compress", action="store_true", help="gzip trace segments"
-    )
+    _add_segment_options(serve)
     serve.add_argument(
         "--queue-high", type=int, default=8_192, metavar="REPORTS",
         help="admission-queue high watermark (backpressure above)",
@@ -208,13 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-low", type=int, default=2_048, metavar="REPORTS",
         help="low watermark (resume reading TCP producers below)",
     )
-    serve.add_argument(
-        "--obs-dir", type=Path,
-        help="record metrics/spans; also enables the METRICS endpoint",
-    )
+    _add_obs_dir(serve)
 
     ana = sub.add_parser("analyze", help="regenerate paper figures from a trace")
-    ana.add_argument("--trace", type=Path, required=True, help=TRACE_HELP)
+    _add_trace_options(ana, required=True)
     ana.add_argument(
         "--figure",
         choices=FIGURES + ("windows", "all"),
@@ -224,28 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument("--csv-dir", type=Path, help="also export series as CSV")
     ana.add_argument(
-        "--tolerant",
-        action="store_true",
-        help="read a dirty trace (skip/dedup/re-sort bad records) and "
-        "print a trace-health summary",
-    )
-    ana.add_argument(
         "--json",
         action="store_true",
         help="emit one JSON document instead of formatted tables",
     )
-    ana.add_argument(
-        "--obs-dir", type=Path,
-        help="record per-metric analytics timings into this directory",
-    )
+    _add_obs_dir(ana)
 
     info = sub.add_parser("info", help="summarise a trace")
-    info.add_argument("--trace", type=Path, help=TRACE_HELP)
-    info.add_argument(
-        "--tolerant",
-        action="store_true",
-        help="read a dirty trace and print a trace-health summary",
-    )
+    _add_trace_options(info, required=False)
     info.add_argument(
         "--server", metavar="HOST:PORT",
         help="query a live ingest server's HEALTH instead of a trace",
@@ -357,6 +356,27 @@ def _parse_ingest_target(target: str) -> tuple[str, int, int]:
     )
 
 
+def _ingest_spec(args: argparse.Namespace) -> IngestSpec | None:
+    """``run``'s reporter settings (``--ingest*``), or None to write locally.
+
+    Raises ``ValueError``, ``OSError`` or ``KeyError`` for a bad target
+    or loss rate.
+    """
+    from repro.fleet.plan import IngestSpec
+
+    if args.ingest is None:
+        return None
+    host, tcp_port, udp_port = _parse_ingest_target(args.ingest)
+    return IngestSpec(
+        host=host,
+        tcp_port=tcp_port,
+        udp_port=udp_port,
+        transport=args.ingest_transport,
+        loss_rate=args.ingest_loss,
+        shard_base=args.ingest_shard,
+    )
+
+
 @contextlib.contextmanager
 def _graceful_stop():
     """SIGTERM/SIGINT set an event instead of killing the process.
@@ -388,24 +408,13 @@ def _graceful_stop():
 def _cmd_run_fleet(args: argparse.Namespace) -> int:
     """The ``run --shards N`` path: a supervised sharded campaign."""
     from repro.fleet import FleetCampaignConfig, run_fleet_campaign
-    from repro.fleet.plan import IngestSpec
     from repro.fleet.supervisor import SupervisorPolicy
 
-    ingest_spec = None
-    if args.ingest is not None:
-        try:
-            host, tcp_port, udp_port = _parse_ingest_target(args.ingest)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ingest_spec = IngestSpec(
-            host=host,
-            tcp_port=tcp_port,
-            udp_port=udp_port,
-            transport=args.ingest_transport,
-            loss_rate=args.ingest_loss,
-            shard_base=args.ingest_shard,
-        )
+    try:
+        ingest_spec = _ingest_spec(args)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = FleetCampaignConfig(
         campaign_dir=args.trace_dir,
         num_shards=args.shards,
@@ -481,35 +490,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{verb} campaign in {args.trace_dir}: {args.days} days at base "
         f"concurrency {args.base:.0f} (seed {args.seed}, policy {args.policy}) ..."
     )
+    try:
+        ingest_spec = _ingest_spec(args)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     obs = create_observer(args.obs_dir)
     ingest = None
-    if args.ingest is not None:
-        from repro.ingest.client import ReportClient
-        from repro.ingest.faults import DatagramFaults
-
-        try:
-            host, tcp_port, udp_port = _parse_ingest_target(args.ingest)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        faults = (
-            DatagramFaults(loss_rate=args.ingest_loss)
-            if args.ingest_loss > 0.0
-            else None
-        )
-        ingest = ReportClient(
-            host,
-            tcp_port,
-            udp_port=udp_port,
-            transport=args.ingest_transport,
-            shard_id=args.ingest_shard,
-            faults=faults,
-            seed=args.seed,
-            obs=obs,
-        )
+    if ingest_spec is not None:
+        ingest = ingest_spec.reporter(seed=args.seed, obs=obs)
         print(
-            f"reporting over {args.ingest_transport} to "
-            f"{host}:{tcp_port} (udp {udp_port})"
+            f"reporting over {ingest_spec.transport} to {ingest_spec.host}:"
+            f"{ingest_spec.tcp_port} (udp {ingest_spec.udp_port})"
         )
     try:
         with _graceful_stop() as stop:

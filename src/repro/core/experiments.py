@@ -296,9 +296,9 @@ def run_campaign(
     if ingest is not None:
         # The durable trace lives server-side; the client folds what it
         # can prove was lost (injected damage, spill overflow, reports
-        # unacked at close) and counts what the server acknowledged.
+        # unacked at close) and counts what it delivered.
         ingest.fold_into(health)
-        trace_records = ingest.stats.reports_acked
+        trace_records = ingest.reports_delivered
     else:
         health.merge(store.health)
         trace_records = len(store)

@@ -25,9 +25,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.simulator.channel import Channel, ChannelCatalogue
+from repro.traces.faults import ChannelFaults
+
+if TYPE_CHECKING:
+    from repro.ingest.client import ReportClient
 
 
 def shard_seed(campaign_seed: int, shard_id: int) -> int:
@@ -125,6 +130,30 @@ class IngestSpec:
     #: The worker reports as ingest shard ``shard_base + shard_id`` so
     #: every worker owns its own ``(shard, seq)`` dedup stream.
     shard_base: int = 0
+
+    def __post_init__(self) -> None:
+        ChannelFaults(loss_rate=self.loss_rate)  # raises on a bad rate
+
+    def reporter(
+        self, *, seed: int, shard_id: int = 0, obs: AnyObserver = NULL_OBSERVER
+    ) -> ReportClient:
+        """The reporter for ingest shard ``shard_base + shard_id``.
+
+        ``loss_rate`` becomes independent datagram loss; ``seed`` seeds
+        the client's backoff jitter and (``seed ^ 0x5EED``) its injector.
+        """
+        from repro.ingest.client import ReportClient
+
+        return ReportClient(
+            self.host,
+            self.tcp_port,
+            udp_port=self.udp_port,
+            transport=self.transport,
+            shard_id=self.shard_base + shard_id,
+            faults=ChannelFaults(loss_rate=self.loss_rate),
+            seed=seed,
+            obs=obs,
+        )
 
 
 @dataclass(frozen=True)

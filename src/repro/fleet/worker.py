@@ -139,25 +139,11 @@ def run_shard(
     trace_dir = Path(spec.trace_dir)
     chaos = ChaosHarness(spec, out)
 
-    ingest_client = None
-    if spec.ingest is not None:
-        from repro.ingest.client import ReportClient
-        from repro.ingest.faults import DatagramFaults
-
-        ing = spec.ingest
-        ingest_client = ReportClient(
-            ing.host,
-            ing.tcp_port,
-            udp_port=ing.udp_port,
-            transport=ing.transport,
-            shard_id=ing.shard_base + spec.shard_id,
-            faults=(
-                DatagramFaults(loss_rate=ing.loss_rate)
-                if ing.loss_rate > 0.0
-                else None
-            ),
-            seed=spec.derived_seed(),
-        )
+    ingest_client = (
+        spec.ingest.reporter(seed=spec.derived_seed(), shard_id=spec.shard_id)
+        if spec.ingest is not None
+        else None
+    )
 
     heartbeat_every = max(1, spec.heartbeat_every_rounds)
 

@@ -4,8 +4,9 @@
 actual client/server collection surface on loopback: report batches are
 framed (:mod:`~repro.ingest.framing`), shipped by a hardened reporter
 with retry/backoff, a circuit breaker and a bounded spill buffer
-(:mod:`~repro.ingest.client`), optionally damaged in flight by a
-deterministic fault injector (:mod:`~repro.ingest.faults`), and admitted
+(:mod:`~repro.ingest.client`), optionally damaged in flight by the
+seeded fault injector of the in-process path
+(:class:`~repro.traces.faults.FaultInjector`), and admitted
 under backpressure into crash-tolerant exactly-once storage by the
 asyncio service (:mod:`~repro.ingest.service`).  Every report a
 campaign emits is either durably stored exactly once or accounted in
@@ -13,11 +14,6 @@ campaign emits is either durably stored exactly once or accounted in
 """
 
 from repro.ingest.client import ClientStats, ReportClient
-from repro.ingest.faults import (
-    DatagramFaultInjector,
-    DatagramFaults,
-    InjectorCounters,
-)
 from repro.ingest.framing import (
     Frame,
     FrameError,
@@ -30,12 +26,9 @@ from repro.ingest.spill import SpillBuffer
 
 __all__ = [
     "ClientStats",
-    "DatagramFaultInjector",
-    "DatagramFaults",
     "Frame",
     "FrameError",
     "FrameHeader",
-    "InjectorCounters",
     "ReportClient",
     "ServiceStats",
     "ShardCursor",

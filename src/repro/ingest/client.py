@@ -23,9 +23,9 @@ real collection path needs:
   all fold into :class:`~repro.traces.health.TraceHealth`.
 
 Pure ``transport="udp"`` mode reproduces the paper's actual collection
-channel — fire-and-forget datagrams, at-most-once — with every
-injected loss accounted by the seeded
-:class:`~repro.ingest.faults.DatagramFaultInjector`.
+channel — fire-and-forget datagrams, at-most-once — with every datagram
+the seeded :class:`~repro.traces.faults.FaultInjector` drops or
+truncates counted, in reports, in :class:`ClientStats`.
 
 Wall-clock time is read only through the injectable
 :class:`~repro.obs.clock.Clock` seam (QA rule REP002 scopes this
@@ -41,11 +41,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.ingest.faults import DatagramFaultInjector, DatagramFaults
 from repro.ingest.framing import Frame, encode_frame
 from repro.ingest.spill import SpillBuffer
 from repro.obs.clock import Clock, WallClock
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
+from repro.traces.faults import ChannelFaults, FaultInjector
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
 
@@ -63,7 +63,9 @@ class ClientStats:
     reports_acked: int = 0  # durably stored server-side (OK or DUP ack)
     reports_rejected: int = 0  # server replied ERR (frame quarantined)
     reports_udp: int = 0  # shipped in fire-and-forget datagrams
-    reports_lost_inflight: int = 0  # destroyed by the fault injector
+    reports_dropped: int = 0  # in datagrams the fault injector dropped
+    reports_corrupted: int = 0  # in datagrams it truncated (quarantined)
+    reports_lost_inflight: int = 0  # datagram socket refused: never sent
     reports_unsent: int = 0  # still unacked when the client closed
     frames_sent_tcp: int = 0
     frames_sent_udp: int = 0
@@ -93,7 +95,7 @@ class ReportClient:
         breaker_cooldown_s: float = 5.0,
         sync_max_attempts: int = 8,
         spill_max_reports: int = 100_000,
-        faults: DatagramFaults | None = None,
+        faults: ChannelFaults | None = None,
         seed: int = 0,
         clock: Clock | None = None,
         sleep: Callable[[float], None] | None = None,
@@ -105,6 +107,8 @@ class ReportClient:
             raise ValueError("batch_size must be >= 1")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
+        if faults is not None and faults.reorder_rate > 0.0:
+            raise ValueError("the datagram path does not reorder: reorder_rate must be 0")
         self.host = host
         self.port = port
         self.udp_port = udp_port if udp_port is not None else port
@@ -121,7 +125,7 @@ class ReportClient:
         self.stats = ClientStats()
         self._spill = SpillBuffer(max_reports=spill_max_reports)
         self._injector = (
-            DatagramFaultInjector(faults, seed=seed ^ 0x5EED)
+            FaultInjector(faults, seed=seed ^ 0x5EED)
             if faults is not None and faults.any_active
             else None
         )
@@ -222,6 +226,18 @@ class ReportClient:
         """Reports sealed but not yet durably acknowledged."""
         return self._spill.report_count + len(self._batch)
 
+    @property
+    def reports_delivered(self) -> int:
+        """Reports the server holds, as far as this client can know.
+
+        Over TCP, those it acknowledged; over pure UDP, those sent in
+        intact datagrams (at-most-once: loopback delivers them all).
+        """
+        s = self.stats
+        if self.transport == "tcp":
+            return s.reports_acked
+        return s.reports_udp - s.reports_corrupted - s.reports_lost_inflight
+
     def fold_into(self, health: TraceHealth) -> TraceHealth:
         """Fold this client's counted losses into ``health``.
 
@@ -229,11 +245,14 @@ class ReportClient:
         :meth:`~repro.traces.server.TraceServer.fold_into`, only the
         delta since the previous fold is added.
         """
-        lost = self.stats.reports_lost_inflight
-        if self._injector is not None:
-            c = self._injector.counters
-            lost += c.dropped_reports + c.truncated_reports
-        dropped = lost + self.stats.reports_rejected + self.stats.reports_unsent
+        s = self.stats
+        dropped = (
+            s.reports_dropped
+            + s.reports_corrupted
+            + s.reports_lost_inflight
+            + s.reports_rejected
+            + s.reports_unsent
+        )
         overflow = self._spill.overflow_reports
         health.server_dropped += dropped - self._folded_dropped
         health.spill_overflow += overflow - self._folded_overflow
@@ -295,14 +314,20 @@ class ReportClient:
 
     def _send_udp(self, frame: Frame, *, count_losses: bool) -> None:
         payload = encode_frame(frame)
-        if self._injector is not None:
-            decision = self._injector.apply(payload, frame.count)
-            payloads = decision.payloads
-            # The injector already counted dropped/truncated reports.
-            damage_counted = decision.dropped or decision.truncated
-        else:
-            payloads = [payload]
-            damage_counted = False
+        payloads = [payload]
+        damaged = False
+        injector = self._injector
+        if injector is not None:
+            if injector.lost():
+                payloads, damaged = [], True
+                if count_losses:
+                    self.stats.reports_dropped += frame.count
+            elif (copies := injector.deliver()) == 0:
+                payloads, damaged = [injector.truncate(payload)], True
+                if count_losses:
+                    self.stats.reports_corrupted += frame.count
+            else:
+                payloads *= copies
         sent_any = False
         for data in payloads:
             try:
@@ -317,7 +342,7 @@ class ReportClient:
         if payloads:
             self.stats.frames_sent_udp += 1
             self.stats.reports_udp += frame.count
-        if count_losses and not damage_counted and not sent_any:
+        if count_losses and not damaged and not sent_any:
             # Connection-refused: the server is gone and the frame
             # provably never left this host.
             self.stats.reports_lost_inflight += frame.count
@@ -472,5 +497,11 @@ class ReportClient:
         self._breaker_opened_at = state.get("breaker_opened_at", 0.0)
         self._udp_shipped = set(state.get("udp_shipped", ()))
         self._rng.setstate(state["rng"])
-        if state["injector"] is not None and self._injector is not None:
-            self._injector.restore(state["injector"])
+        injected = state["injector"]
+        if injected is not None and self._injector is not None:
+            self._injector.restore(injected)
+            # Older builds counted injected damage with the injector.
+            legacy = injected["counters"]
+            if "dropped_reports" in legacy:
+                self.stats.reports_dropped = legacy["dropped_reports"]
+                self.stats.reports_corrupted = legacy["truncated_reports"]

@@ -323,43 +323,6 @@ class BroadExceptRule(Rule):
 
 
 @register
-class MutableDefaultRule(Rule):
-    """REP006: mutable default argument values."""
-
-    rule_id = "REP006"
-    title = "mutable default argument"
-    severity = Severity.ERROR
-    rationale = (
-        "A list/dict/set default is created once and shared across calls; "
-        "state leaks between invocations and between test runs.  Default "
-        "to None and construct inside the function."
-    )
-
-    def check(self, tree: ast.Module, source: str, path: PurePath) -> Iterable[RawFinding]:
-        for node in _walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = [*node.args.defaults, *node.args.kw_defaults]
-            for default in defaults:
-                if default is None:
-                    continue
-                if isinstance(
-                    default,
-                    (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
-                ) or (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in ("list", "dict", "set", "bytearray")
-                ):
-                    yield (
-                        default.lineno,
-                        default.col_offset,
-                        f"mutable default in {node.name}(); use None and "
-                        "construct inside the body",
-                    )
-
-
-@register
 class MissingReturnAnnotationRule(Rule):
     """REP007: public functions without a return annotation."""
 

@@ -16,7 +16,7 @@ module builds that picture in two phases:
    (``repro.qa.ScanResult`` → ``repro.qa.engine.ScanResult``), and scan
    each function body with a small abstract interpreter that tracks
    local bindings (``store = system.trace_server.store`` keeps the
-   *path*; ``if isinstance(store, FaultyChannel)`` narrows the class)
+   *path*; ``if isinstance(store, SegmentedTraceStore)`` narrows the class)
    to produce resolved :class:`CallSite` and :class:`Access` records.
 
 Everything here is best-effort static inference: unresolved names stay

@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING, Any, BinaryIO
 from repro.ioutil import atomic_writer
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.simulator.gcpolicy import campaign_gc
-from repro.traces.faults import FaultyChannel
 
 if TYPE_CHECKING:
     from repro.simulator.system import SystemConfig, UUSeeSystem
@@ -205,16 +204,7 @@ def snapshot_system(
     dict is ready for :func:`save_checkpoint`; it references live
     objects, so serialize it before advancing the system further.
     """
-    channel_state: dict[str, Any] | None = None
     store = system.trace_server.store
-    if isinstance(store, FaultyChannel):
-        channel_state = {
-            "rng": store._rng.getstate(),
-            "in_burst": store._in_burst,
-            "held": store._held,
-            "held_for": store._held_for,
-            "counters": store.counters,
-        }
     return {
         "config_token": config_token(system.config, scope),
         # Self-describing engine backend (absent in older checkpoints
@@ -233,7 +223,6 @@ def snapshot_system(
             "received": system.trace_server.received,
             "dropped": system.trace_server.dropped,
         },
-        "channel": channel_state,
         "rng": {
             "latency": system.latency._rng.getstate(),
             "bandwidth": system.bandwidth._rng.getstate(),
@@ -258,11 +247,11 @@ def snapshot_system(
             system.total_departures,
             system.total_crashes,
         ),
-        # Duck-typed: present when the store is an ingest ReportClient
-        # (next seq, pending spill frames, backoff RNG, partial batch),
-        # so a resumed campaign resends the unacked tail and regenerates
-        # identical frame identities for the server to deduplicate.
-        "ingest_client": (
+        # The one store hook, duck-typed: a store with its own draw or
+        # delivery state (an ingest ReportClient's seq cursor and unacked
+        # frames, a FaultyChannel's injector and held report) hands it
+        # over here and takes it back in restore_into.
+        "store": (
             store.checkpoint_state()
             if hasattr(store, "checkpoint_state")
             else None
@@ -309,19 +298,6 @@ def restore_into(
     system.trace_server._rng.setstate(ts["rng"])
     system.trace_server.received = ts["received"]
     system.trace_server.dropped = ts["dropped"]
-    channel_state = state.get("channel")
-    store = system.trace_server.store
-    if channel_state is not None:
-        if not isinstance(store, FaultyChannel):
-            raise CheckpointError(
-                "checkpoint carries collection-channel fault state but the "
-                "resumed system's store is not wrapped in a FaultyChannel"
-            )
-        store._rng.setstate(channel_state["rng"])
-        store._in_burst = channel_state["in_burst"]
-        store._held = channel_state["held"]
-        store._held_for = channel_state["held_for"]
-        store.counters = channel_state["counters"]
     rngs = state["rng"]
     system.latency._rng.setstate(rngs["latency"])
     system.bandwidth._rng.setstate(rngs["bandwidth"])
@@ -346,14 +322,19 @@ def restore_into(
         system.total_departures,
         system.total_crashes,
     ) = state["totals"]
-    ingest_state = state.get("ingest_client")
-    if ingest_state is not None:
+    # Older builds kept the store hook's state under "ingest_client" (a
+    # ReportClient) or "channel" (a FaultyChannel).
+    store_state = (
+        state.get("store") or state.get("ingest_client") or state.get("channel")  # repro: noqa[REP101] keys older builds wrote
+    )
+    if store_state is not None:
+        store = system.trace_server.store
         if not hasattr(store, "restore_checkpoint"):
             raise CheckpointError(
-                "checkpoint carries ingest reporter state but the resumed "
-                "system's store is not an ingest ReportClient"
+                "checkpoint carries trace-store state but the resumed "
+                f"system's store ({type(store).__name__}) cannot restore it"
             )
-        store.restore_checkpoint(ingest_state)
+        store.restore_checkpoint(store_state)
     # .get(): checkpoints written before observability existed lack the
     # key; restoring into a no-op observer is itself a no-op.
     system.obs.restore_checkpoint(state.get("obs"))
@@ -527,11 +508,10 @@ class CheckpointManager:
         obs = self.obs
         with obs.span("checkpoint.save"), campaign_gc(NULL_OBSERVER):
             store = system.trace_server.store
-            inner = store.store if isinstance(store, FaultyChannel) else store
-            sync = getattr(inner, "sync", None) or getattr(inner, "flush", None)
+            sync = getattr(store, "sync", None) or getattr(store, "flush", None)
             if sync is not None:
                 sync()
-            trace_records = len(inner) if hasattr(inner, "__len__") else None
+            trace_records = len(store) if hasattr(store, "__len__") else None
             state = snapshot_system(
                 system, trace_records=trace_records, scope=self.scope
             )

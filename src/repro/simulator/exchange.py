@@ -34,7 +34,7 @@ from repro.network.latency import LatencyModel
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.overlay import PartnerPolicy, build_policy
 from repro.simulator.channel import ChannelCatalogue
-from repro.simulator.failures import FaultPlan, OutageSchedule
+from repro.simulator.failures import FaultPlan
 from repro.simulator.peer import Link, Peer, rtt_penalty
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.tracker import Tracker
@@ -94,7 +94,6 @@ class ExchangeEngine:
         config: ProtocolConfig,
         policy: SelectionPolicy = SelectionPolicy.UUSEE,
         seed: int = 0,
-        outages: OutageSchedule | None = None,
         faults: FaultPlan | None = None,
         obs: AnyObserver = NULL_OBSERVER,
         partner_policy: PartnerPolicy | None = None,
@@ -104,14 +103,8 @@ class ExchangeEngine:
         self.tracker = tracker
         self.latency = latency
         self.config = config
-        self.policy = policy
         self.obs = obs
-        if faults is None:
-            faults = FaultPlan(outages=outages or OutageSchedule())
-        elif outages is not None:
-            faults = faults.merged_with_outages(outages)
-        self.faults = faults
-        self.outages = self.faults.outages
+        self.faults = faults if faults is not None else FaultPlan()
         self.rng = random.Random(seed)
         # Selection decisions are delegated to a PartnerPolicy
         # (repro.overlay).  The default is built from the legacy enum so

@@ -9,7 +9,8 @@ segment counts.  Reports travel over UDP (lossy) to a standalone trace
 server, which appends them to a trace store.
 
 Because the real collection path was a lossy Internet UDP path, this
-package also carries a fault-injection layer (``FaultyChannel``) and a
+package also carries a fault-injection layer (one seeded
+``FaultInjector``, carried in process by ``FaultyChannel``) and a
 dirty-trace-tolerant read path (``SegmentedTraceReader(tolerant=True)``,
 built on ``sanitize``) whose accounting lands in a ``TraceHealth``.
 
@@ -23,7 +24,12 @@ from repro.traces.records import PartnerRecord, PeerReport
 from repro.traces.health import TraceHealth
 from repro.traces.reporter import build_report, port_for_peer
 from repro.traces.server import TraceServer
-from repro.traces.faults import ChannelCounters, ChannelFaults, FaultyChannel
+from repro.traces.faults import (
+    ChannelCounters,
+    ChannelFaults,
+    FaultInjector,
+    FaultyChannel,
+)
 from repro.traces.segments import (
     SegmentedTraceReader,
     SegmentedTraceStore,
@@ -48,6 +54,7 @@ __all__ = [
     "TraceServer",
     "ChannelCounters",
     "ChannelFaults",
+    "FaultInjector",
     "FaultyChannel",
     "InMemoryTraceStore",
     "SegmentInfo",

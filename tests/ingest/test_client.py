@@ -9,14 +9,14 @@ test, only the far side is canned.
 
 import pytest
 
-from repro.ingest import DatagramFaults, ReportClient
+from repro.ingest import ReportClient
 from repro.ingest.client import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
 )
 from repro.obs.clock import ManualClock
-from repro.traces import TraceHealth
+from repro.traces import ChannelFaults, TraceHealth
 from tests.ingest.helpers import ScriptedTcpServer, free_port, report_at
 
 
@@ -167,6 +167,28 @@ class TestDeadServer:
         assert client.pending_reports == 0
         client.close()
 
+    def test_damaged_degraded_copies_are_not_counted_lost(self):
+        # A UDP copy sent while the breaker is open stays pending for the
+        # TCP path, so dropping or truncating it loses nothing.
+        port = free_port()
+        client, _ = manual_client(
+            port,
+            batch_size=2,
+            breaker_threshold=1,
+            sync_max_attempts=4,
+            faults=ChannelFaults(loss_rate=0.5, corrupt_rate=0.5),
+        )
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            client.append(report_at(t))
+        assert client.breaker_state == BREAKER_OPEN
+        injected = client._injector.counters
+        assert injected.dropped + injected.corrupted == 3  # every copy damaged
+        with ScriptedTcpServer(["OK 1\n", "OK 2\n", "OK 3\n"], port=port):
+            assert client.sync() is True
+        assert client.stats.reports_acked == 6
+        assert client.fold_into(TraceHealth()).server_dropped == 0
+        client.close()
+
     def test_sync_gives_up_after_bounded_attempts(self):
         client, _ = manual_client(free_port(), sync_max_attempts=3)
         client.append(report_at(1.0))
@@ -254,19 +276,19 @@ class TestUdpTransport:
             free_port(),
             transport="udp",
             batch_size=2,
-            faults=DatagramFaults(loss_rate=0.999),
+            faults=ChannelFaults(loss_rate=0.999),
         )
         for i in range(10):
             client.append(report_at(float(i)))
         client.close()
         c = client._injector.counters
         assert c.offered == 5
-        assert c.dropped_reports >= 8  # deterministic under the seed
+        assert client.stats.reports_dropped >= 8  # deterministic under the seed
         assert client.pending_reports == 0  # at-most-once: nothing pends
         health = client.fold_into(TraceHealth())
         assert health.server_dropped == (
-            c.dropped_reports
-            + c.truncated_reports
+            client.stats.reports_dropped
+            + client.stats.reports_corrupted
             + client.stats.reports_lost_inflight
         )
 

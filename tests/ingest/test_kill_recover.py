@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.experiments import run_campaign
-from repro.ingest import DatagramFaults, ReportClient
+from repro.ingest import ReportClient
 from repro.simulator import CheckpointManager, SystemConfig, UUSeeSystem
-from repro.traces import SegmentedTraceReader, SegmentedTraceStore
+from repro.traces import ChannelFaults, SegmentedTraceReader, SegmentedTraceStore
 from tests.ingest.helpers import free_port, report_at, wait_until
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -163,8 +163,8 @@ class TestExactlyOnceAcrossSigkill:
             udp_port=server.udp_port,
             transport="udp",
             batch_size=4,
-            faults=DatagramFaults(
-                loss_rate=0.2, duplicate_rate=0.1, truncate_rate=0.1
+            faults=ChannelFaults(
+                loss_rate=0.2, duplicate_rate=0.1, corrupt_rate=0.1
             ),
             seed=5,
         )
@@ -187,7 +187,7 @@ class TestExactlyOnceAcrossSigkill:
         server.sigterm_and_wait()
 
         stored = len(stored_reports(server.trace_dir))
-        destroyed = c.dropped_reports + c.truncated_reports
+        destroyed = client.stats.reports_dropped + client.stats.reports_corrupted
         assert client.stats.reports_enqueued == total
         # The accounting identity, with zero slack: loopback delivers
         # everything the injector let through.
@@ -196,7 +196,7 @@ class TestExactlyOnceAcrossSigkill:
         summary = json.loads((server.trace_dir / "health.json").read_text())
         # Truncated datagrams were quarantined server-side (frame
         # granularity); duplicated ones acknowledged but stored once.
-        assert summary["health"]["parse_failures"] == c.truncated
+        assert summary["health"]["parse_failures"] == c.corrupted
         assert summary["stats"]["reports_stored"] == stored
 
 

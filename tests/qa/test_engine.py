@@ -119,8 +119,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["qa", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for i in range(1, 9):
+        for i in (1, 2, 3, 4, 5, 7, 8):
             assert f"REP00{i}" in out
+        assert "REP006" not in out  # retired: ruff's B006 covers it
 
     def test_gate_on_repo_src_is_clean(self, capsys):
         # the acceptance criterion: the shipped tree passes its own gate

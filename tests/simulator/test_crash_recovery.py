@@ -40,7 +40,14 @@ from repro.simulator.checkpoint import (
     CheckpointCorruptError,
     save_checkpoint,
 )
-from repro.traces import SegmentedTraceReader, SegmentedTraceStore
+from repro.traces import (
+    ChannelCounters,
+    ChannelFaults,
+    FaultyChannel,
+    SegmentedTraceReader,
+    SegmentedTraceStore,
+)
+from tests.ingest.helpers import report_at
 from tests.simulator.test_peer import (
     legacy_peer_pickle,
     make_link,
@@ -506,3 +513,94 @@ class TestCorruptSkipAccounting:
         assert reloaded.latest_valid() is not None
         assert reloaded.corrupt_skipped == 0
         assert obs.registry.counter("checkpoint.corrupt_skipped").value == 0
+
+
+#: Bursty loss, reordering and corruption on the collection path.
+CHANNEL_FAULTS = ChannelFaults(
+    loss_rate=0.1, burst_length=4.0, reorder_rate=0.05, corrupt_rate=0.02
+)
+
+
+def channel_system(trace_dir, store=None):
+    if store is None:
+        store = SegmentedTraceStore(trace_dir, records_per_segment=SEGMENT_RECORDS)
+    channel = FaultyChannel(store, CHANNEL_FAULTS, seed=11)
+    return UUSeeSystem(make_config(), channel), channel
+
+
+def as_parent_channel_state(state):
+    """``state`` as a build without the store hook wrote it: the channel's
+    fields under ``"channel"``, its counters as the live object."""
+    hook = state.pop("store")
+    state["channel"] = {
+        "rng": hook["rng"],
+        "in_burst": hook["in_burst"],
+        "held": hook["held"],
+        "held_for": hook["held_for"],
+        "counters": ChannelCounters(**hook["counters"]),
+    }
+    state["ingest_client"] = None
+    return state
+
+
+class TestFaultyChannelCheckpoint:
+    @pytest.mark.parametrize("written_by", ["store_hook", "parent"])
+    def test_mid_run_resume_ends_on_uninterrupted_run(self, tmp_path, written_by):
+        a_system, a_channel = channel_system(tmp_path / "a")
+        a_system.run(seconds=TOTAL_ROUNDS * ROUND)
+        a_channel.close()
+
+        b_system, b_channel = channel_system(tmp_path / "b")
+        manager = CheckpointManager(tmp_path / "ckpt")
+        b_system.run(
+            seconds=11 * ROUND, checkpoint=manager, checkpoint_every_rounds=3
+        )
+        b_channel.store.flush()  # killed: the held report dies with it
+        path, state = manager.latest_valid()
+        assert state["rounds_completed"] == 9
+        assert state["store"]["held"] is not None  # a held report crosses the cut
+        if written_by == "parent":
+            save_checkpoint(path, as_parent_channel_state(state))
+            _, state = manager.latest_valid()
+            assert "store" not in state
+
+        store = SegmentedTraceStore.recover(tmp_path / "b")
+        store.rollback(state["trace_records"])
+        c_system, c_channel = channel_system(tmp_path / "b", store)
+        restore_into(c_system, state)
+        c_system.run(seconds=(TOTAL_ROUNDS - 9) * ROUND)
+        c_channel.close()
+
+        assert c_system.rounds_completed == TOTAL_ROUNDS
+        assert draw_fingerprint(c_system) == draw_fingerprint(a_system)
+        assert c_channel.counters == a_channel.counters
+        assert a_channel.counters.dropped > 0 and a_channel.counters.corrupted > 0
+        assert a_channel.counters.reordered > 0
+        assert per_file_shas(tmp_path / "b") == per_file_shas(tmp_path / "a")
+
+    def test_save_leaves_a_held_report_held(self, tmp_path):
+        system, channel = channel_system(tmp_path / "t")
+        system.run(seconds=3 * ROUND)
+        held = channel._held = report_at(float(3 * ROUND))
+        channel._held_for = 0
+        CheckpointManager(tmp_path / "ckpt").save(system)
+        assert channel._held is held
+        assert channel.store._pending == 0  # synced through the channel
+        channel.close()
+
+    @pytest.mark.parametrize("key", ["store", "ingest_client", "channel"])
+    def test_restore_reads_the_hook_under_every_key(self, tmp_path, key):
+        source, _ = channel_system(tmp_path / "a")
+        source.run(seconds=2 * ROUND)
+        state = snapshot_system(source)
+        state[key] = state.pop("store")
+        target, channel = channel_system(tmp_path / "b")
+        restore_into(target, state)
+        assert channel.checkpoint_state() == source.trace_server.store.checkpoint_state()
+
+    def test_hook_state_without_a_hook_store_is_refused(self, tmp_path):
+        source, _ = channel_system(tmp_path / "a")
+        state = snapshot_system(source)
+        target, _ = fresh_system(tmp_path / "b")
+        with pytest.raises(CheckpointError, match="cannot restore"):
+            restore_into(target, state)

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
@@ -81,6 +83,74 @@ class TestParser:
         assert not args.resume
         assert args.checkpoint_every == 36
         assert args.keep_last == 3
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["run", "--trace-dir", "t"],
+                {
+                    "command": "run", "trace_dir": Path("t"), "checkpoint_dir": None,
+                    "resume": False, "shards": 1, "max_restarts": 3,
+                    "heartbeat_timeout": 30.0, "progress_timeout": 120.0, "days": 2.0,
+                    "base": 500.0, "seed": 2006, "policy": "uusee",
+                    "no_flash_crowd": False, "engine": "object", "checkpoint_every": 36,
+                    "keep_last": 3, "segment_records": 100_000, "compress": False,
+                    "fsync": False, "obs_dir": None, "ingest": None,
+                    "ingest_transport": "tcp", "ingest_loss": 0.0, "ingest_shard": 0,
+                },
+            ),
+            (
+                ["serve", "--trace-dir", "t"],
+                {
+                    "command": "serve", "trace_dir": Path("t"), "host": "127.0.0.1",
+                    "tcp_port": 0, "udp_port": 0, "port_file": None,
+                    "segment_records": 100_000, "compress": False, "queue_high": 8192,
+                    "queue_low": 2048, "obs_dir": None,
+                },
+            ),
+            (
+                ["analyze", "--trace", "t"],
+                {
+                    "command": "analyze", "trace": Path("t"), "figure": "all",
+                    "csv_dir": None, "tolerant": False, "json": False, "obs_dir": None,
+                },
+            ),
+            (
+                ["info"],
+                {"command": "info", "trace": None, "tolerant": False, "server": None},
+            ),
+            (
+                ["obs", "summarize", "d"],
+                {"command": "obs", "obs_command": "summarize", "obs_dir": Path("d")},
+            ),
+            (
+                ["qa"],
+                {
+                    "command": "qa", "paths": [], "json": False,
+                    "fix_suppressions": False, "list_rules": False, "program": False,
+                    "baseline": None, "no_baseline": False, "update_baseline": False,
+                },
+            ),
+            (
+                ["compare-overlays"],
+                {
+                    "command": "compare-overlays",
+                    "policies": "uusee,locality:mix=0.75,hamiltonian:k=2,"
+                    "random-regular:d=4,strandcast",
+                    "hours": 6.0, "base": 120.0, "seed": 2006, "json": False,
+                    "markdown": False,
+                },
+            ),
+        ],
+        ids=["run", "serve", "analyze", "info", "obs", "qa", "compare-overlays"],
+    )
+    def test_minimal_command_line_defaults(self, argv, expected):
+        assert vars(build_parser().parse_args(argv)) == expected
+
+    def test_analyze_requires_trace(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze"])
 
 
 class TestRunCampaign:
