@@ -243,11 +243,11 @@ def _child(
             result = run(reader)
             metrics = obs.registry.state() if isinstance(obs, Observer) else None
             payload: tuple[Any, ...] = ("ok", result, owners, metrics, events)
-        except Exception as exc:  # repro: noqa[REP005] re-raised in the parent
+        except Exception as exc:  # noqa: BLE001 re-raised in the parent
             payload = ("error", exc)
         try:
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # repro: noqa[REP005] an unpicklable error
+        except Exception as exc:  # noqa: BLE001 an unpicklable error
             data = pickle.dumps(("error", RuntimeError(repr(exc))))
         with os.fdopen(out, "wb") as fh:
             fh.write(data)

@@ -140,11 +140,11 @@ class ReportClient:
         self._breaker = BREAKER_CLOSED
         self._breaker_opened_at = 0.0
         self._udp_shipped: set[int] = set()  # seqs already degraded to UDP
-        self._sock: socket.socket | None = None  # repro: noqa[REP101] live OS handle; reconnected lazily after restore
-        self._udp_sock: socket.socket | None = None  # repro: noqa[REP101] live OS handle; reopened lazily after restore
-        self._closed = False  # repro: noqa[REP101] lifecycle flag; restore targets a live (open) client
-        self._folded_dropped = 0  # repro: noqa[REP101] fold_into() bookkeeping consumed within one process
-        self._folded_overflow = 0  # repro: noqa[REP101] fold_into() bookkeeping consumed within one process
+        self._sock: socket.socket | None = None
+        self._udp_sock: socket.socket | None = None
+        self._closed = False
+        self._folded_dropped = 0
+        self._folded_overflow = 0
 
     # -- TraceStore surface -------------------------------------------------
 

@@ -27,7 +27,7 @@ class SpillBuffer:
             raise ValueError("max_reports must be >= 1")
         self.max_reports = max_reports
         self._frames: OrderedDict[int, Frame] = OrderedDict()  # seq -> frame
-        self._reports = 0  # repro: noqa[REP101] derived: restore() recomputes it by re-pushing frames
+        self._reports = 0
         #: Reports dropped by eviction since construction (or restore).
         self.overflow_reports = 0
         #: Frames dropped by eviction since construction (or restore).

@@ -145,9 +145,9 @@ class Observer:
     def __init__(self, clock: Clock | None = None, sink: EventSink | None = None) -> None:
         self.registry = MetricsRegistry()
         self._clock: Clock = clock if clock is not None else WallClock()
-        self._sink = sink  # repro: noqa[REP101] output wiring; swapped only in a forked shard
-        self._sim_clock: Callable[[], float] = _zero_sim_clock  # repro: noqa[REP101] runtime binding; rebound via bind_sim_clock after restore
-        self._stack: list[str] = []  # repro: noqa[REP101] in-flight span nesting; empty at every checkpoint boundary
+        self._sink = sink
+        self._sim_clock: Callable[[], float] = _zero_sim_clock
+        self._stack: list[str] = []
 
     @property
     def sink(self) -> EventSink | None:

@@ -116,7 +116,7 @@ class PartnerPolicy:
     blind_requests: ClassVar[bool] = False
 
     #: Bound by :meth:`bind`; declared here for the type checker.
-    engine: EngineLike  # repro: noqa[REP101] runtime wiring; bind() runs at construction, before any restore
+    engine: EngineLike
 
     def __init__(self, *, seed: int = 0, **params: float) -> None:
         if params:

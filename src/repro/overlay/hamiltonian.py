@@ -118,7 +118,7 @@ class HamiltonianPolicy(PartnerPolicy):
             "rng": self._rng.getstate(),
             "next": {
                 channel: [dict(m) for m in maps]
-                for channel, maps in sorted(self._next.items())
+                for channel, maps in self._next.items()
             },
         }
 
@@ -132,10 +132,17 @@ class HamiltonianPolicy(PartnerPolicy):
         self._next = {
             channel: [dict(m) for m in maps] for channel, maps in nexts.items()
         }
+        # Both maps hold members in join order; keep that order.
         self._prev = {
-            channel: [{succ: pred for pred, succ in m.items()} for m in maps]
+            channel: [_inverse(m) for m in maps]
             for channel, maps in self._next.items()
         }
 
     def rng_state(self) -> object | None:
         return self._rng.getstate()
+
+
+def _inverse(successors: dict[int, int]) -> dict[int, int]:
+    """The predecessor map of one cycle, keyed in the cycle map's order."""
+    pred = {succ: node for node, succ in successors.items()}
+    return {node: pred[node] for node in successors}

@@ -87,7 +87,7 @@ class StrandCastPolicy(PartnerPolicy):
         return {
             "chains": {
                 channel: list(chain)
-                for channel, chain in sorted(self._chains.items())
+                for channel, chain in self._chains.items()
             }
         }
 

@@ -1,27 +1,19 @@
 """repro.qa — determinism & correctness static analysis + runtime sanitizer.
 
 Static side: an AST lint engine (:mod:`repro.qa.engine`) with a rule
-registry (:mod:`repro.qa.rules`), eight project-specific REP rules
+registry (:mod:`repro.qa.rules`), six project-specific REP rules
 (:mod:`repro.qa.checks`), line-scoped ``# repro: noqa[RULE]``
 suppressions with unused-suppression detection, and JSON/human output.
-
-Whole-program side (``qa --program``): :mod:`repro.qa.program` builds a
-module/class/call graph over the scanned tree, and the REP1xx analyzers
-(:mod:`repro.qa.checkpoints`, :mod:`repro.qa.asyncsafety`,
-:mod:`repro.qa.rngflow`) check checkpoint-completeness, async-safety,
-and interprocedural RNG flow against it, gated by the committed
-``qa-baseline.json`` ratchet (:mod:`repro.qa.baseline`).
 
 Runtime side (:mod:`repro.qa.sanitizer`): :func:`deterministic_guard`
 turns unseeded entropy access into an immediate exception, and
 :class:`DrawAudit` / :func:`assert_identical_draws` verify that two
 identically-seeded runs consume identical RNG draw sequences.
 
-CLI: ``python -m repro.cli qa [--json] [--fix-suppressions] [--program]
-[--baseline FILE] [--update-baseline] PATHS``.
+CLI: ``python -m repro.cli qa [--json] [--fix-suppressions] [--list-rules]
+PATHS``.
 """
 
-from repro.qa.baseline import apply_baseline, load_baseline, save_baseline
 from repro.qa.engine import (
     ScanResult,
     fix_unused_suppressions,
@@ -29,8 +21,6 @@ from repro.qa.engine import (
     scan_source,
 )
 from repro.qa.findings import Finding, Severity
-from repro.qa.program import ProgramGraph
-from repro.qa.program_rules import ProgramRule, all_program_rules
 from repro.qa.rules import Rule, all_rules, get_rule
 from repro.qa.sanitizer import (
     DrawAudit,
@@ -51,12 +41,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rule",
-    "ProgramGraph",
-    "ProgramRule",
-    "all_program_rules",
-    "apply_baseline",
-    "load_baseline",
-    "save_baseline",
     "DrawAudit",
     "DrawSnapshot",
     "NondeterminismError",

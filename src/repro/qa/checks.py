@@ -110,12 +110,13 @@ class GlobalRandomRule(Rule):
     """REP001: calls into the module-level (shared, unseeded) RNG."""
 
     rule_id = "REP001"
-    title = "module-level random.* call"
+    title = "module-level or unseeded random stream"
     severity = Severity.ERROR
     rationale = (
         "The module-level random functions share one hidden generator whose "
-        "state any import can perturb; draw from an injected "
-        "random.Random(seed) instead so runs replay bit-for-bit."
+        "state any import can perturb, and so does the random module handed "
+        "to a callee; random.Random() with no seed draws from OS entropy.  "
+        "Draw from an injected random.Random(seed) so runs replay bit-for-bit."
     )
 
     def check(self, tree: ast.Module, source: str, path: PurePath) -> Iterable[RawFinding]:
@@ -133,6 +134,21 @@ class GlobalRandomRule(Rule):
                         f"{name}() draws from the shared global RNG; "
                         "use an injected random.Random(seed)",
                     )
+                elif name == "random.Random" and not (node.args or node.keywords):
+                    yield (
+                        node.lineno,
+                        node.col_offset,
+                        "random.Random() without a seed is seeded from OS "
+                        "entropy; pass a seed derived from the run's",
+                    )
+                for arg in (*node.args, *(k.value for k in node.keywords)):
+                    if isinstance(arg, ast.Name) and arg.id == "random":
+                        yield (
+                            arg.lineno,
+                            arg.col_offset,
+                            "passing the random module hands the callee the "
+                            "shared global RNG; pass an injected random.Random",
+                        )
             elif isinstance(node, ast.ImportFrom) and node.module == "random":
                 bad = sorted(
                     alias.name for alias in node.names if alias.name in GLOBAL_RANDOM_FNS
@@ -197,22 +213,39 @@ def _contains_sorted(node: ast.AST) -> bool:
     return False
 
 
+def _unordered_node(sub: ast.AST) -> str | None:
+    """A description of ``sub`` when it is itself an unordered collection."""
+    if isinstance(sub, (ast.Set, ast.SetComp)):
+        return "a set literal/comprehension"
+    if isinstance(sub, ast.Call):
+        if isinstance(sub.func, ast.Name) and sub.func.id in ("set", "frozenset"):
+            return f"{sub.func.id}(...)"
+        if isinstance(sub.func, ast.Attribute) and sub.func.attr in (
+            "values",
+            "keys",
+            "items",
+        ):
+            base = dotted_name(sub.func.value) or "<expr>"
+            return f"{base}.{sub.func.attr}()"
+    return None
+
+
 def _unordered_source(node: ast.AST) -> str | None:
     """A description of the first unordered collection inside ``node``."""
     for sub in _walk(node):
-        if isinstance(sub, (ast.Set, ast.SetComp)):
-            return "a set literal/comprehension"
-        if isinstance(sub, ast.Call):
-            if isinstance(sub.func, ast.Name) and sub.func.id in ("set", "frozenset"):
-                return f"{sub.func.id}(...)"
-            if isinstance(sub.func, ast.Attribute) and sub.func.attr in (
-                "values",
-                "keys",
-                "items",
-            ):
-                base = dotted_name(sub.func.value) or "<expr>"
-                return f"{base}.{sub.func.attr}()"
+        culprit = _unordered_node(sub)
+        if culprit is not None:
+            return culprit
     return None
+
+
+def _is_rng_name(node: ast.expr) -> bool:
+    """``rng``, ``self._rng``, ``latency_rng``: an expression naming a stream."""
+    name = dotted_name(node)
+    if name is None:
+        return False
+    bare = name.rsplit(".", 1)[-1].lstrip("_").lower()
+    return bare == "rng" or bare.endswith("_rng")
 
 
 @register
@@ -220,18 +253,33 @@ class UnorderedRngFeedRule(Rule):
     """REP003: RNG selection fed by set/dict-view iteration order."""
 
     rule_id = "REP003"
-    title = "RNG choice over unordered collection"
+    title = "RNG draw over unordered collection"
     severity = Severity.ERROR
     rationale = (
         "choice/sample/shuffle over a set (hash order, perturbable by "
         "PYTHONHASHSEED) or a dict view (insertion order, perturbable by "
-        "unrelated code) couples the draw sequence to iteration order; "
+        "unrelated code) couples the draw sequence to iteration order, "
+        "also when the set is passed to a callee along with the stream; "
         "wrap the candidates in sorted(...) first."
     )
 
     def check(self, tree: ast.Module, source: str, path: PurePath) -> Iterable[RawFinding]:
         for node in _walk(tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            if not isinstance(node, ast.Call):
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(_is_rng_name(arg) for arg in args):
+                for arg in args:
+                    culprit = _unordered_node(arg)
+                    if culprit is not None:
+                        yield (
+                            node.lineno,
+                            node.col_offset,
+                            f"passes {culprit} alongside an RNG stream: the "
+                            "callee's draws may follow its iteration order; "
+                            "sort it first",
+                        )
+            if not isinstance(node.func, ast.Attribute):
                 continue
             if node.func.attr not in ORDER_SENSITIVE_RNG_METHODS or not node.args:
                 continue
@@ -290,36 +338,6 @@ class FloatEqualityRule(Rule):
                         "(e.g. repro.stats.near_zero)",
                     )
                     break
-
-
-@register
-class BroadExceptRule(Rule):
-    """REP005: bare or overly broad exception handlers."""
-
-    rule_id = "REP005"
-    title = "bare/broad except"
-    severity = Severity.WARNING
-    rationale = (
-        "except: / except Exception: swallow determinism violations, "
-        "KeyboardInterrupt (bare form) and genuine bugs alike; catch the "
-        "specific exceptions the block can actually raise."
-    )
-
-    def check(self, tree: ast.Module, source: str, path: PurePath) -> Iterable[RawFinding]:
-        for node in _walk(tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield (node.lineno, node.col_offset, "bare except: catches everything")
-            else:
-                name = dotted_name(node.type)
-                if name in ("Exception", "BaseException"):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"except {name}: is too broad; name the exceptions "
-                        "this block expects",
-                    )
 
 
 @register

@@ -1,11 +1,6 @@
 """The ``qa`` subcommand: scan, report, gate.
 
 Exit codes: 0 clean, 1 findings (CI gate), 2 usage error.
-
-The whole-program pass (``--program``) adds the REP1xx analyzers on top
-of the per-file rules and defaults its scan root to ``src/repro``.  A
-baseline file (committed ``qa-baseline.json``) makes the gate a ratchet:
-blessed pre-existing findings pass, anything new fails.
 """
 
 from __future__ import annotations
@@ -14,17 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.qa.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.qa.engine import fix_unused_suppressions, scan_paths
 from repro.qa.report import render_human, render_json, render_rules
-
-#: Scan root assumed by ``qa --program`` when no paths are given.
-DEFAULT_PROGRAM_ROOT = Path("src/repro")
 
 
 def add_qa_arguments(parser: argparse.ArgumentParser) -> None:
@@ -33,8 +19,7 @@ def add_qa_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to scan (e.g. src); --program defaults "
-        f"to {DEFAULT_PROGRAM_ROOT}",
+        help="files or directories to scan (e.g. src)",
     )
     parser.add_argument(
         "--json",
@@ -51,41 +36,6 @@ def add_qa_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print every registered rule and exit",
     )
-    parser.add_argument(
-        "--program",
-        action="store_true",
-        help="also run the whole-program REP1xx analyzers "
-        "(checkpoint-completeness, async-safety, RNG flow)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline file of blessed findings (default: "
-        f"{DEFAULT_BASELINE_NAME} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; gate on every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from this scan's findings and exit 0",
-    )
-
-
-def _baseline_path(args: argparse.Namespace) -> Path | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    default = Path(DEFAULT_BASELINE_NAME)
-    if default.exists() or args.update_baseline:
-        return default
-    return None
 
 
 def run_qa(args: argparse.Namespace) -> int:
@@ -94,8 +44,6 @@ def run_qa(args: argparse.Namespace) -> int:
         print(render_rules())
         return 0
     paths = list(args.paths)
-    if not paths and args.program and DEFAULT_PROGRAM_ROOT.exists():
-        paths = [DEFAULT_PROGRAM_ROOT]
     if not paths:
         print("error: qa needs at least one path to scan", file=sys.stderr)
         return 2
@@ -103,32 +51,11 @@ def run_qa(args: argparse.Namespace) -> int:
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
-    baseline_path = _baseline_path(args)
-    if args.update_baseline and baseline_path is None:
-        print("error: --update-baseline conflicts with --no-baseline", file=sys.stderr)
-        return 2
-    result = scan_paths(paths, program=args.program)
+    result = scan_paths(paths)
     if args.fix_suppressions and result.unused_suppressions:
         removed = fix_unused_suppressions(result)
         print(f"qa: removed {removed} unused suppression id(s); re-scanning")
-        result = scan_paths(paths, program=args.program)
-    if args.update_baseline:
-        assert baseline_path is not None
-        entries = save_baseline(baseline_path, result.findings)
-        print(
-            f"qa: baseline {baseline_path} updated with {entries} "
-            f"fingerprint(s) covering {len(result.findings)} finding(s)"
-        )
-        return 0
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            blessed = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result.findings, result.baselined = apply_baseline(
-            result.findings, blessed, baseline_path.parent
-        )
+        result = scan_paths(paths)
     print(render_json(result) if args.json else render_human(result))
     return 0 if result.ok else 1
 

@@ -4,7 +4,7 @@ Suppression syntax (line-scoped, reason encouraged)::
 
     frac = hits / total if total else 0.0  # repro: noqa[REP004] exact sentinel
 
-Multiple ids separate with commas: ``# repro: noqa[REP004,REP005]``.
+Multiple ids separate with commas: ``# repro: noqa[REP001,REP004]``.
 A suppression that silences nothing is itself reported (REP000) so stale
 annotations cannot accumulate; ``fix_unused_suppressions`` rewrites them
 away mechanically.
@@ -41,8 +41,6 @@ class ScanResult:
     files_scanned: int = 0
     #: path -> {line -> unused rule ids}; consumed by fix_unused_suppressions.
     unused_suppressions: dict[str, dict[int, set[str]]] = field(default_factory=dict)
-    #: Findings matched (and swallowed) by the baseline file, if one applied.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -100,26 +98,19 @@ def _parse_suppressions(source: str) -> dict[int, set[str]]:
     return suppressions
 
 
-@dataclass
-class _FileScan:
-    """Per-file intermediate state, kept until REP000 can be decided.
+def scan_source(
+    source: str,
+    path: PurePath,
+    *,
+    rules: Iterable[Rule] | None = None,
+) -> tuple[list[Finding], dict[int, set[str]]]:
+    """Scan one module's text; returns (findings, unused suppressions).
 
-    The unused-suppression audit must run *last*: a suppression on a
-    line may be consumed by a per-file rule or — only discoverable after
-    every file has parsed — by a whole-program REP1xx finding.
+    Exposed separately from :func:`scan_paths` so tests can lint
+    snippets under any pretend path (rule scoping is path-sensitive).
+    A suppression that silenced nothing comes back as a REP000 finding
+    and in the unused map.
     """
-
-    path: PurePath
-    tree: ast.Module | None
-    findings: list[Finding]
-    suppressions: dict[int, set[str]]
-    used: set[tuple[int, str]]
-
-
-def _scan_file(
-    source: str, path: PurePath, rules: Iterable[Rule]
-) -> _FileScan:
-    """Run the per-file rules over one module's text."""
     display = str(path)
     try:
         tree = ast.parse(source)
@@ -132,12 +123,12 @@ def _scan_file(
             severity=Severity.ERROR,
             message=f"could not parse: {exc.msg}",
         )
-        return _FileScan(path, None, [finding], {}, set())
+        return [finding], {}
 
     suppressions = _parse_suppressions(source)
     used: set[tuple[int, str]] = set()
     findings: list[Finding] = []
-    for rule in rules:
+    for rule in rules if rules is not None else all_rules():
         if not rule.applies_to(path):
             continue
         for line, col, message in rule.check(tree, source, path):
@@ -154,31 +145,17 @@ def _scan_file(
                     message=message,
                 )
             )
-    return _FileScan(path, tree, findings, suppressions, used)
-
-
-def _unused_findings(
-    scan: _FileScan, unaudited: frozenset[str] = frozenset()
-) -> tuple[list[Finding], dict[int, set[str]]]:
-    """REP000 findings for suppressions nothing consumed.
-
-    ``unaudited`` names rule ids whose rules did not run this scan (the
-    REP1xx program analyzers outside ``--program`` mode): a per-file
-    pass cannot tell whether their suppressions are stale, so it must
-    not flag — or mechanically delete — them.
-    """
-    findings: list[Finding] = []
     unused: dict[int, set[str]] = {}
     known = known_rule_ids()
-    for lineno, ids in scan.suppressions.items():
+    for lineno, ids in suppressions.items():
         for rule_id in ids:
-            if (lineno, rule_id) in scan.used or rule_id in unaudited:
+            if (lineno, rule_id) in used:
                 continue
             unused.setdefault(lineno, set()).add(rule_id)
             qualifier = "" if rule_id in known else " (unknown rule)"
             findings.append(
                 Finding(
-                    path=str(scan.path),
+                    path=display,
                     line=lineno,
                     col=0,
                     rule_id=UNUSED_SUPPRESSION_ID,
@@ -192,93 +169,21 @@ def _unused_findings(
     return findings, unused
 
 
-def scan_source(
-    source: str,
-    path: PurePath,
-    *,
-    rules: Iterable[Rule] | None = None,
-) -> tuple[list[Finding], dict[int, set[str]]]:
-    """Scan one module's text; returns (findings, unused suppressions).
-
-    Exposed separately from :func:`scan_paths` so tests can lint
-    snippets under any pretend path (rule scoping is path-sensitive).
-    Per-file rules only — the REP1xx program pass needs every file.
-    """
-    from repro.qa.program_rules import known_program_rule_ids
-
-    scan = _scan_file(source, path, tuple(rules) if rules is not None else all_rules())
-    findings, unused = _unused_findings(scan, known_program_rule_ids())
-    return [*scan.findings, *findings], unused
-
-
-def _run_program_rules(scans: list[_FileScan]) -> list[Finding]:
-    """Build the program graph from parsed files and run the REP1xx rules.
-
-    Suppressions work exactly as for per-file rules: a matching
-    ``# repro: noqa[REP1xx]`` on the finding's line consumes it (and is
-    marked used so REP000 stays quiet).
-    """
-    from repro.qa.program import ProgramGraph
-    from repro.qa.program_rules import all_program_rules
-
-    by_display: dict[str, _FileScan] = {str(scan.path): scan for scan in scans}
-    parsed = [
-        (Path(str(scan.path)), scan.tree) for scan in scans if scan.tree is not None
-    ]
-    graph = ProgramGraph.build(parsed)
-    findings: list[Finding] = []
-    for rule in all_program_rules():
-        for fpath, line, col, message in rule.check(graph):
-            display = str(fpath)
-            scan = by_display.get(display)
-            if scan is not None and rule.rule_id in scan.suppressions.get(line, ()):
-                scan.used.add((line, rule.rule_id))
-                continue
-            findings.append(
-                Finding(
-                    path=display,
-                    line=line,
-                    col=col,
-                    rule_id=rule.rule_id,
-                    severity=rule.severity,
-                    message=message,
-                )
-            )
-    return findings
-
-
 def scan_paths(
     paths: Sequence[Path],
     *,
     rules: Iterable[Rule] | None = None,
-    program: bool = False,
 ) -> ScanResult:
-    """Scan every Python file under ``paths``; findings sorted by location.
-
-    With ``program=True`` the whole-program REP1xx analyzers run over
-    the same parse trees after the per-file rules.
-    """
+    """Scan every Python file under ``paths``; findings sorted by location."""
     result = ScanResult()
     rule_set = tuple(rules) if rules is not None else all_rules()
-    scans: list[_FileScan] = []
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8")
-        scan = _scan_file(source, file_path, rule_set)
-        scans.append(scan)
-        result.findings.extend(scan.findings)
-        result.files_scanned += 1
-    if program:
-        result.findings.extend(_run_program_rules(scans))
-        unaudited: frozenset[str] = frozenset()
-    else:
-        from repro.qa.program_rules import known_program_rule_ids
-
-        unaudited = known_program_rule_ids()
-    for scan in scans:
-        findings, unused = _unused_findings(scan, unaudited)
+        findings, unused = scan_source(source, file_path, rules=rule_set)
         result.findings.extend(findings)
+        result.files_scanned += 1
         if unused:
-            result.unused_suppressions[str(scan.path)] = unused
+            result.unused_suppressions[str(file_path)] = unused
     result.findings.sort()
     return result
 

@@ -5,24 +5,22 @@ from __future__ import annotations
 import json
 
 from repro.qa.engine import ScanResult
-from repro.qa.program_rules import all_program_rules
 from repro.qa.rules import all_rules
 
 
 def render_human(result: ScanResult) -> str:
     """One finding per line plus a summary footer."""
     lines = [finding.render() for finding in result.findings]
-    baselined = f", {result.baselined} baselined" if result.baselined else ""
     if result.findings:
         by_rule = ", ".join(
             f"{rule_id}×{count}" for rule_id, count in result.counts_by_rule().items()
         )
         lines.append(
             f"qa: {len(result.findings)} finding(s) in "
-            f"{result.files_scanned} file(s) [{by_rule}]{baselined}"
+            f"{result.files_scanned} file(s) [{by_rule}]"
         )
     else:
-        lines.append(f"qa: clean ({result.files_scanned} file(s) scanned{baselined})")
+        lines.append(f"qa: clean ({result.files_scanned} file(s) scanned)")
     return "\n".join(lines)
 
 
@@ -31,7 +29,6 @@ def render_json(result: ScanResult) -> str:
     payload = {
         "ok": result.ok,
         "files_scanned": result.files_scanned,
-        "baselined": result.baselined,
         "counts": result.counts_by_rule(),
         "findings": [finding.to_json() for finding in result.findings],
     }
@@ -41,14 +38,7 @@ def render_json(result: ScanResult) -> str:
 def render_rules() -> str:
     """A table of every registered rule (``qa --list-rules``)."""
     lines = []
-    entries: list[tuple[str, str, str, str]] = [
-        (r.rule_id, str(r.severity), r.title, r.rationale) for r in all_rules()
-    ]
-    entries.extend(
-        (r.rule_id, str(r.severity), r.title, r.rationale)
-        for r in all_program_rules()
-    )
-    for rule_id, severity, title, rationale in entries:
-        lines.append(f"{rule_id} [{severity}] {title}")
-        lines.append(f"    {rationale}")
+    for rule in all_rules():
+        lines.append(f"{rule.rule_id} [{rule.severity}] {rule.title}")
+        lines.append(f"    {rule.rationale}")
     return "\n".join(lines)

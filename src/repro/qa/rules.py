@@ -67,10 +67,8 @@ def get_rule(rule_id: str) -> Rule | None:
 
 
 def known_rule_ids() -> frozenset[str]:
-    """The ids of every registered rule, per-file and whole-program."""
-    from repro.qa.program_rules import known_program_rule_ids
-
-    return frozenset(r.rule_id for r in all_rules()) | known_program_rule_ids()
+    """The ids of every registered rule."""
+    return frozenset(r.rule_id for r in all_rules())
 
 
 # -- shared helpers used by several rules ---------------------------------

@@ -161,7 +161,7 @@ def draw_fingerprint(system: UUSeeSystem) -> str:
         "exchange": system.exchange.rng.getstate(),
         "system": system._rng.getstate(),
         "fault": system._fault_rng.getstate(),
-        "trace_server": system.trace_server._rng.getstate(),
+        "trace_server": system.trace_server.injector.state()["rng"],
         "tracker": [t._rng.getstate() for t in trackers],
         "arrivals": system.arrivals._rng.getstate(),
     }
@@ -213,13 +213,16 @@ def snapshot_system(
         # value and are refused on restore.
         "engine": "object",
         "clock": system.engine.clock_state(),
+        # The exchange engine's latest entry point lags the event clock
+        # by up to a round; structured policies stamp new links with it.
+        "exchange_clock": system.exchange.clock,
         "rounds_completed": system.rounds_completed,
-        "trace_records": trace_records,  # repro: noqa[REP101] consumed by run_campaign's store.rollback, not restore_into
+        "trace_records": trace_records,
         "peers": system.peers,
         "tracker": system.tracker,
         "arrivals": system.arrivals,
         "trace_server": {
-            "rng": system.trace_server._rng.getstate(),
+            "injector": system.trace_server.injector.state(),
             "received": system.trace_server.received,
             "dropped": system.trace_server.dropped,
         },
@@ -295,7 +298,11 @@ def restore_into(
     system.exchange.tracker = state["tracker"]
     system.arrivals = state["arrivals"]
     ts = state["trace_server"]
-    system.trace_server._rng.setstate(ts["rng"])
+    # Checkpoints written before the server held an injector carry the
+    # bare loss coin's RNG state under "rng".
+    system.trace_server.injector.restore(
+        ts.get("injector") or {"rng": ts["rng"], "counters": {}}
+    )
     system.trace_server.received = ts["received"]
     system.trace_server.dropped = ts["dropped"]
     rngs = state["rng"]
@@ -310,10 +317,11 @@ def restore_into(
         _restore_allocator(system._allocators[name], alloc_state)
     _restore_allocator(system._server_allocator, state["server_allocator"])
     system._departures = list(state["departures"])
+    # .get(): checkpoints written before the exchange clock was captured.
+    system.exchange.clock = state.get("exchange_clock", system.engine.now)
     # The matching policy is guaranteed by the config token above (the
     # overlay spec is a SystemConfig field); .get() keeps checkpoints
     # written before the overlay lab restorable.
-    system.exchange.clock = system.engine.now
     system.exchange.partner_policy.restore_checkpoint(state.get("overlay"))
     system._next_peer_id = state["next_peer_id"]
     system.round_stats = state["round_stats"]
@@ -325,7 +333,7 @@ def restore_into(
     # Older builds kept the store hook's state under "ingest_client" (a
     # ReportClient) or "channel" (a FaultyChannel).
     store_state = (
-        state.get("store") or state.get("ingest_client") or state.get("channel")  # repro: noqa[REP101] keys older builds wrote
+        state.get("store") or state.get("ingest_client") or state.get("channel")
     )
     if store_state is not None:
         store = system.trace_server.store

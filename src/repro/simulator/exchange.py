@@ -123,7 +123,7 @@ class ExchangeEngine:
         # fresh-link floors) are computed once instead of in every hot
         # call; anything that changes a channel's rate or the protocol
         # config mid-run must call ``invalidate_channel_consts``.
-        self._channel_consts: dict[int, ChannelConsts] = {}  # repro: noqa[REP101] derived cache; rebuilt lazily from catalogue and config after restore
+        self._channel_consts: dict[int, ChannelConsts] = {}
 
     def invalidate_channel_consts(self, channel_id: int | None = None) -> None:
         """Drop cached per-channel constants after a config change.

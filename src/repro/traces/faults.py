@@ -192,7 +192,7 @@ class FaultyChannel:
     def __init__(
         self, store: TraceStore, faults: ChannelFaults, *, seed: int = 0
     ) -> None:
-        self.store = store  # repro: noqa[REP101] the resumed campaign recovers and rolls back its own store
+        self.store = store
         self.faults = faults
         self.injector = FaultInjector(faults, seed=seed)
         self._held: PeerReport | None = None

@@ -8,9 +8,8 @@ the paper's '120 GB of traces'.
 
 from __future__ import annotations
 
-import random
-
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
+from repro.traces.faults import ChannelFaults, FaultInjector
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
 from repro.traces.store import TraceStore
@@ -31,18 +30,19 @@ class TraceServer:
             raise ValueError(f"loss rate out of range: {loss_rate}")
         self.store = store
         self.loss_rate = loss_rate
-        self._rng = random.Random(seed)
+        #: The in-flight loss coin: one independent draw per report.
+        self.injector = FaultInjector(ChannelFaults(loss_rate=loss_rate), seed=seed)
         self._obs = obs
         self.received = 0
         self.dropped = 0
         # Drops already folded into a TraceHealth.  Deliberately reset on
         # resume: each process folds into a fresh TraceHealth, so the
         # first post-restore fold must re-add every restored drop.
-        self._folded_dropped = 0  # repro: noqa[REP101] reset on resume; each process folds into a fresh TraceHealth
+        self._folded_dropped = 0
 
     def receive(self, report: PeerReport) -> bool:
         """Deliver one UDP report; False if it was lost in flight."""
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+        if self.injector.lost():
             self.dropped += 1
             self._obs.count("trace.reports_dropped")
             return False

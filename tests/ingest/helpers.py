@@ -85,12 +85,17 @@ def read_reply_line(conn: socket.socket) -> str:
 class LiveService:
     """The real ingestion service, running its own loop in a thread."""
 
-    def __init__(self, directory=None, *, service=None, **kwargs) -> None:
+    def __init__(
+        self, directory=None, *, service=None, port_file=None, **kwargs
+    ) -> None:
         if service is None:
             service = TraceIngestService.open(directory, **kwargs)
         self.service = service
         self._thread = threading.Thread(
-            target=self.service.run, name="ingest-test-service", daemon=True
+            target=self.service.run,
+            kwargs={"port_file": port_file},
+            name="ingest-test-service",
+            daemon=True,
         )
 
     def __enter__(self) -> "LiveService":

@@ -314,10 +314,12 @@ class TestCheckpointRoundTrip:
         assert clone.backoff_delay(3) == client.backoff_delay(3)
 
     def test_breaker_timing_and_udp_dedup_survive_restore(self):
-        # Regression for a gap the qa REP101 pass found: the breaker
-        # *state* was captured but not its clock (_breaker_opened_at,
-        # _next_attempt) or the UDP dedup set, so a resumed client
-        # half-opened immediately and could re-degrade shipped seqs.
+        # Regression for a checkpoint gap (now also caught by the round
+        # trip in tests/simulator/test_checkpoint_roundtrip.py): the
+        # breaker *state* was captured but not its clock
+        # (_breaker_opened_at, _next_attempt) or the UDP dedup set, so a
+        # resumed client half-opened immediately and could re-degrade
+        # shipped seqs.
         client, clock = manual_client(1, breaker_threshold=3)
         clock.advance(5.0)
         for _ in range(3):

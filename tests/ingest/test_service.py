@@ -139,6 +139,19 @@ class TestTcpIngestion:
         with LiveService(tmp_path / "t") as live:
             assert live.query("FROBNICATE").startswith("ERR unknown command")
 
+    def test_port_file_announces_bound_ports(self, tmp_path):
+        # Written durably (fsync + rename) off the loop thread.
+        port_file = tmp_path / "ports.json"
+        with LiveService(tmp_path / "t", port_file=port_file) as live:
+            wait_until(
+                lambda: port_file.exists() or not live._thread.is_alive(),
+                what="the port file",
+            )
+            assert json.loads(port_file.read_text()) == {
+                "tcp": live.tcp_port,
+                "udp": live.udp_port,
+            }
+
 
 class TestUdpIngestion:
     def test_datagrams_stored(self, tmp_path):

@@ -9,3 +9,11 @@ def _jitter(rng: random.Random) -> float:
 
 def _make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def _draw(rng: random.Random, n: int) -> int:
+    return rng.randrange(n)
+
+
+def _replay(seed: int) -> int:
+    return _draw(random.Random(seed), 10) + _draw(rng=_make_rng(seed), n=3)

@@ -34,15 +34,15 @@ class TestUnusedSuppressions:
         target = tmp_path / "module.py"
         target.write_text(
             "def _guard(x: float) -> bool:\n"
-            "    return x == 0.0  # repro: noqa[REP004,REP005] sentinel\n"
+            "    return x == 0.0  # repro: noqa[REP004,REP001] sentinel\n"
         )
         result = scan_paths([target])
-        # REP004 suppression is used; REP005's matches nothing
+        # REP004 suppression is used; REP001's matches nothing
         assert [f.rule_id for f in result.findings] == [UNUSED_SUPPRESSION_ID]
         removed = fix_unused_suppressions(result)
         assert removed == 1
         text = target.read_text()
-        assert "noqa[REP004]" in text and "REP005" not in text
+        assert "noqa[REP004]" in text and "REP001" not in text
         assert "sentinel" in text  # the reason survives a partial fix
         assert scan_paths([target]).ok
 
@@ -119,9 +119,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["qa", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for i in (1, 2, 3, 4, 5, 7, 8):
+        for i in (1, 2, 3, 4, 7, 8):
             assert f"REP00{i}" in out
-        assert "REP006" not in out  # retired: ruff's B006 covers it
+        # retired: ruff's BLE001 and B006 cover them
+        assert "REP005" not in out and "REP006" not in out
 
     def test_gate_on_repo_src_is_clean(self, capsys):
         # the acceptance criterion: the shipped tree passes its own gate

@@ -20,7 +20,6 @@ CASES = {
     "REP002": FIXTURES / "simulator",
     "REP003": FIXTURES,
     "REP004": FIXTURES,
-    "REP005": FIXTURES,
     "REP007": FIXTURES,
     "REP008": FIXTURES,
 }
@@ -109,6 +108,17 @@ class TestScoping:
         findings = scan_paths([pkg]).findings
         assert findings == [], findings
 
+    def test_rep001_flags_unseeded_streams_and_the_module_as_argument(self):
+        # The interprocedural cases once left to a whole-program pass:
+        # a fresh unseeded Random() or the random module itself handed
+        # to a callee.  The seeded forms stay clean.
+        hits = [f for f in findings_for(fixture("REP001", "pos")) if f.rule_id == "REP001"]
+        assert [f.line for f in hits] == [7, 15, 19]
+
+    def test_rep003_flags_an_unordered_argument_beside_a_stream(self):
+        hits = [f for f in findings_for(fixture("REP003", "pos")) if f.rule_id == "REP003"]
+        assert [f.line for f in hits] == [7, 15]
+
     def test_rep004_exempts_test_modules(self):
         from pathlib import PurePath
 
@@ -122,10 +132,11 @@ class TestScoping:
 
 
 class TestRegistry:
-    def test_seven_rules_registered(self):
-        # REP006 (mutable defaults) was retired in favour of ruff's B006.
+    def test_six_rules_registered(self):
+        # Retired in favour of ruff: REP005 (broad except, BLE001) and
+        # REP006 (mutable defaults, B006).
         ids = [rule.rule_id for rule in all_rules()]
-        assert ids == [f"REP00{i}" for i in (1, 2, 3, 4, 5, 7, 8)]
+        assert ids == [f"REP00{i}" for i in (1, 2, 3, 4, 7, 8)]
 
     def test_rules_document_themselves(self):
         for rule in all_rules():

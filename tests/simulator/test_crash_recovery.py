@@ -292,6 +292,26 @@ class TestResumeDeterminism:
         assert len({digest for digest, _ in outcomes}) == 1
 
 
+class TestOlderCheckpointKeys:
+    def test_bare_loss_coin_state_and_no_exchange_clock_still_restore(self, tmp_path):
+        # Older builds saved the trace server's loss coin as a bare RNG
+        # state under "rng" and had no "exchange_clock" key.
+        live, _ = fresh_system(tmp_path / "live")
+        live.run(seconds=6 * ROUND)
+        state = snapshot_system(live)
+        server = state["trace_server"]
+        state["trace_server"] = {
+            "rng": server["injector"]["rng"],
+            "received": server["received"],
+            "dropped": server["dropped"],
+        }
+        del state["exchange_clock"]
+        restored, _ = fresh_system(tmp_path / "restored")
+        restore_into(restored, state)
+        assert draw_fingerprint(restored) == draw_fingerprint(live)
+        assert restored.exchange.clock == restored.engine.now
+
+
 class TestRunCampaign:
     def test_resume_without_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError):

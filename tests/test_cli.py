@@ -128,8 +128,7 @@ class TestParser:
                 ["qa"],
                 {
                     "command": "qa", "paths": [], "json": False,
-                    "fix_suppressions": False, "list_rules": False, "program": False,
-                    "baseline": None, "no_baseline": False, "update_baseline": False,
+                    "fix_suppressions": False, "list_rules": False,
                 },
             ),
             (

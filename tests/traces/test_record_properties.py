@@ -6,7 +6,7 @@ import pickle
 from itertools import starmap
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.traces import PartnerRecord, PeerReport
@@ -228,7 +228,7 @@ def report_lines(draw):
 def parse_outcome(parse, line):
     try:
         return parse(line), None
-    except Exception as exc:  # the outcome under comparison
+    except Exception as exc:  # noqa: BLE001 the outcome under comparison
         return None, exc
 
 
@@ -242,7 +242,9 @@ def field_types(report):
 PARTNERLESS = '{"t":1.5,"ip":7,"ch":3,"bf":0.5,"pp":9,"dc":1.0,"uc":2.0,"rr":3.0,"sr":4.0,"p":%s}'
 
 
-@settings(max_examples=400)
+# report_lines() builds whole JSON documents; on a loaded machine its
+# generation trips the too_slow health check without anything being wrong.
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
 @given(report_lines())
 @example(PARTNERLESS % "[]")
 @example(PARTNERLESS % '[[1,2,30,40],"abcd"]')
