@@ -166,19 +166,25 @@ class ReportClient:
     def sync(self) -> bool:
         """Seal and try hard to drain every pending frame (durable barrier).
 
-        Blocks through up to ``sync_max_attempts`` consecutive failures
-        (sleeping out the backoff between them), then gives up, leaving
-        the remainder in the spill buffer — a later sync, the campaign
-        checkpoint, or the resend-on-reconnect path picks them up.
-        Returns whether everything pending was acked.
+        Blocks through up to ``sync_max_attempts`` passes that fail or
+        get no verdict at all (sleeping out the backoff between them),
+        then gives up, leaving the remainder in the spill buffer — a
+        later sync, the campaign checkpoint, or the resend-on-reconnect
+        path picks them up.  A pass that makes no TCP attempt (the
+        backoff has not run out on the client's clock, say after a
+        ``RETRY-AFTER``) counts too, so an injected sleep that does not
+        advance the clock cannot keep ``sync`` waiting forever.  Returns
+        whether everything pending was acked.
         """
         self._seal_batch()
         if self.transport == "udp":
             self._pump()
             return len(self._spill) == 0
         attempts = 0
+        stats = self.stats
         while self._spill and attempts < self.sync_max_attempts:
             before = self._failures
+            verdicts = stats.frames_sent_tcp
             wait = self._next_attempt - self._clock.now()
             if wait > 0:
                 self._sleep(wait)
@@ -187,7 +193,7 @@ class ReportClient:
                 # rather than wait out the whole cooldown.
                 self._breaker = BREAKER_HALF_OPEN
             self._pump()
-            if self._failures > before:
+            if self._failures > before or stats.frames_sent_tcp == verdicts:
                 attempts += 1
         return len(self._spill) == 0
 

@@ -69,30 +69,43 @@ class LatencyModel:
         self.window_kbits = window_kbits
         self.min_throughput_kbps = min_throughput_kbps
         self._rng = random.Random(seed)
+        # Median RTT by [same ISP][a in China][b in China]: the tier
+        # rules read once, so a link's median is three subscripts.
+        t = self.tiers
+        self._median_rtt = (
+            (
+                (t.intra_overseas, t.china_overseas),
+                (t.china_overseas, t.inter_china),
+            ),
+            (
+                (t.intra_overseas, t.intra_overseas),
+                (t.intra_isp, t.intra_isp),
+            ),
+        )
 
     def base_rtt(self, isp_a: str, isp_b: str, *, a_china: bool, b_china: bool) -> float:
-        """Median RTT for the ISP relationship between two endpoints."""
-        if isp_a == isp_b:
-            return self.tiers.intra_isp if a_china else self.tiers.intra_overseas
-        if a_china and b_china:
-            return self.tiers.inter_china
-        if a_china != b_china:
-            return self.tiers.china_overseas
-        return self.tiers.intra_overseas
+        """Median RTT for the ISP relationship between two endpoints.
+
+        Within one ISP the tier follows ``a``'s region; across ISPs it is
+        inter-China, China–overseas or overseas–overseas.
+        """
+        return self._median_rtt[isp_a == isp_b][a_china][b_china]
 
     def sample_link(
-        self, isp_a: str, isp_b: str, *, a_china: bool = True, b_china: bool = True
+        self, isp_a: str, isp_b: str, a_china: bool = True, b_china: bool = True
     ) -> LinkQuality:
         """Draw one link's RTT and throughput ceiling.
 
-        The two unit normals are one Box–Muller pair, drawn here with
-        exactly the expressions ``random.gauss`` uses (the cosine leg
-        first, then the sine leg it would have cached), so the draws and
-        the generator's ``getstate()`` match two ``gauss`` calls bit for
-        bit.  A pair left half-used by an outside ``gauss`` call is
-        consumed through ``gauss`` itself.
+        The China flags are bools and may be passed positionally, as
+        ``connect`` does once per partnership.  The two unit normals are
+        one Box–Muller pair, drawn here with exactly the expressions
+        ``random.gauss`` uses (the cosine leg first, then the sine leg it
+        would have cached), so the draws and the generator's
+        ``getstate()`` match two ``gauss`` calls bit for bit.  A pair
+        left half-used by an outside ``gauss`` call is consumed through
+        ``gauss`` itself.
         """
-        median = self.base_rtt(isp_a, isp_b, a_china=a_china, b_china=b_china)
+        median = self._median_rtt[isp_a == isp_b][a_china][b_china]
         rng = self._rng
         if rng.gauss_next is None:
             uniform = rng.random

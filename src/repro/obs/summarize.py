@@ -190,6 +190,30 @@ def _checkpoint_section(summary: ObsSummary) -> list[str]:
     return [line, ""]
 
 
+def _partnership_section(summary: ObsSummary) -> list[str]:
+    """One line on partnership work per round (empty when not recorded).
+
+    The campaign adds ``exchange.connect_attempts``, ``exchange.connects``
+    and ``exchange.disconnects`` once per round; each is read here over
+    the ``sim.rounds`` counter.  An attempt that does not connect met a
+    link that exists already, a full partner list, or a partition.
+    """
+    attempts = summary.counters.get("exchange.connect_attempts")
+    if attempts is None:
+        return []
+    counters = summary.counters
+    rounds = counters.get("sim.rounds", 0.0) or 1.0
+    connects = counters.get("exchange.connects", 0.0)
+    disconnects = counters.get("exchange.disconnects", 0.0)
+    accepted = 100.0 * connects / attempts if attempts else 0.0
+    return [
+        f"Partnerships: {attempts / rounds:.1f} attempts, {connects / rounds:.1f} "
+        f"connects ({accepted:.1f}% accepted), {disconnects / rounds:.1f} "
+        "disconnects per round",
+        "",
+    ]
+
+
 def _trace_pass_section(summary: ObsSummary) -> list[str]:
     """One line on trace read rates (empty when no pass was recorded).
 
@@ -227,6 +251,7 @@ def render_summary(obs_dir: str | Path) -> str:
     out.extend(_span_section("Other timings", other_spans))
     out.extend(_gc_section(summary))
     out.extend(_checkpoint_section(summary))
+    out.extend(_partnership_section(summary))
     out.extend(_trace_pass_section(summary))
     if summary.counters:
         rows = [[name, f"{value:g}"] for name, value in sorted(summary.counters.items())]

@@ -36,7 +36,50 @@ keeps the interface honest about what a policy may touch.
 from __future__ import annotations
 
 import random
-from typing import ClassVar, Protocol
+from itertools import filterfalse
+from math import ceil, log
+from typing import ClassVar, Protocol, TypeVar
+
+T = TypeVar("T")
+
+
+def sample_list(rng: random.Random, population: list[T], k: int) -> list[T]:
+    """``rng.sample(population, k)`` for a list, drawn through ``getrandbits``.
+
+    The library's algorithm step for step — a shrinking pool while the
+    population is small next to a ``k``-set, rejection against a set of
+    picked indices otherwise — with every ``randbelow(m)`` written inline
+    as ``getrandbits(m.bit_length())`` redrawn while ``>= m``.  Same
+    result, same draws, same ``rng.getstate()``; no frame per index and
+    no abstract-base-class check per call.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result: list[T] = []
+    setsize = 21  # the library's size of a small set minus an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        selected: set[int] = set()
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(population[j])
+    return result
 
 
 class PolicyError(ValueError):
@@ -186,14 +229,17 @@ class PartnerPolicy:
         min_useful = cfg.min_useful_link_kbps
         max_active = cfg.max_active_suppliers
         chosen: set[int] = set()
+        add = chosen.add
         expected = 0.0
         for _, pid, link in candidates:
             if expected >= demand or len(chosen) >= max_active:
                 break
             est = link.est_kbps
-            contribution = max(min_useful, est if est < cap else cap)
-            chosen.add(pid)
-            expected += contribution
+            if est > cap:
+                est = cap
+            add(pid)
+            # max(min_useful, min(est, cap))
+            expected += est if est > min_useful else min_useful
         peer.suppliers = chosen
 
     # -- refinement --------------------------------------------------------
@@ -225,28 +271,30 @@ class PartnerPolicy:
         suppliers = peer.suppliers
 
         # Drop dead suppliers and those measured below the useful floor.
+        partners_get = partners.get
         for pid in list(suppliers):
-            link = partners.get(pid)
+            link = partners_get(pid)
             if peers_get(pid) is None or link is None or link.est_kbps < min_useful:
                 suppliers.discard(pid)
 
         # Sorted so the float sum is identical regardless of set-table
         # history (a checkpoint round-trip rebuilds the set and may
-        # change raw iteration order).
-        expected = sum(
-            min(partners[pid].est_kbps, cap)
-            for pid in sorted(suppliers)
-            if pid in partners
-        )
+        # change raw iteration order).  Every supplier left is a partner;
+        # the loop adds in the order, and from the 0.0, that 3.11's
+        # ``sum`` over ``min(est, cap)`` would.
+        expected = 0.0
+        for pid in sorted(suppliers):
+            est = partners[pid].est_kbps
+            expected += est if est < cap else cap
         if expected >= demand or len(suppliers) >= max_active:
             return
 
         # Try the best of a small random sample of non-supplier partners.
-        non_suppliers = [pid for pid in partners if pid not in suppliers]
+        non_suppliers = list(filterfalse(suppliers.__contains__, partners))
         if not non_suppliers:
             return
         if len(non_suppliers) > sample_size:
-            pool = engine.rng.sample(non_suppliers, sample_size)
+            pool = sample_list(engine.rng, non_suppliers, sample_size)
         else:
             pool = non_suppliers
         refine_score = self.refine_score

@@ -28,14 +28,16 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import NamedTuple
 
 from repro.network.latency import LatencyModel
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.overlay import PartnerPolicy, build_policy
+from repro.overlay.base import sample_list
 from repro.simulator.channel import ChannelCatalogue
 from repro.simulator.failures import FaultPlan
-from repro.simulator.peer import Link, Peer, rtt_penalty
+from repro.simulator.peer import Link, Peer
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.tracker import Tracker
 from repro.traces.records import PeerReport
@@ -124,6 +126,18 @@ class ExchangeEngine:
         # call; anything that changes a channel's rate or the protocol
         # config mid-run must call ``invalidate_channel_consts``.
         self._channel_consts: dict[int, ChannelConsts] = {}
+        # Partnership work since the last take_partnership_counts(), in
+        # plain ints: the per-link paths make no observability call.
+        self._connect_attempts = 0
+        self._connects = 0
+        self._disconnects = 0
+
+    def take_partnership_counts(self) -> tuple[int, int, int]:
+        """``(connect attempts, connects, disconnects)`` since the last
+        take, and zero them; the campaign adds them to obs once a round."""
+        counts = (self._connect_attempts, self._connects, self._disconnects)
+        self._connect_attempts = self._connects = self._disconnects = 0
+        return counts
 
     def invalidate_channel_consts(self, channel_id: int | None = None) -> None:
         """Drop cached per-channel constants after a config change.
@@ -165,13 +179,15 @@ class ExchangeEngine:
         The callee refuses when its partner list is full (servers have a
         higher ceiling since they exist to accept connections).
         """
+        self._connect_attempts += 1
         a_id = a.peer_id
         b_id = b.peer_id
         a_partners = a.partners
         if a_id == b_id or b_id in a_partners:
             return False
         faults = self.faults
-        if faults.has_link_faults and faults.link_blocked(a.isp, b.isp, now):
+        # Only partitions block a handshake: the list itself is the gate.
+        if faults.partitions and faults.link_blocked(a.isp, b.isp, now):
             self.obs.count("faults.link_blocked")
             return False  # TCP handshake cannot cross the partition
         b_partners = b.partners
@@ -180,9 +196,7 @@ class ExchangeEngine:
             return False
         if len(a_partners) >= max_partners:
             return False
-        rtt, cap = self.latency.sample_link(
-            a.isp, b.isp, a_china=a.is_china, b_china=b.is_china
-        )
+        rtt, cap = self.latency.sample_link(a.isp, b.isp, a.is_china, b.is_china)
         # Conservative initial throughput estimate: a fresh link must rank
         # *below* proven-good links (else the steady inbound-partner churn
         # makes request priority thrash across unproven links every round),
@@ -192,21 +206,21 @@ class ExchangeEngine:
         # starting fresh links lower would make peers over-provision past
         # the Fig. 4(B) indegree ceiling.
         consts = self._channel_consts.get(a.channel_id) or self._consts(a.channel_id)
-        neutral = min(consts.neutral_hi, cap * 0.5)
-        penalty = rtt_penalty(rtt)
+        neutral = cap * 0.5  # min(neutral_hi, cap * 0.5)
+        if not neutral < consts.neutral_hi:
+            neutral = consts.neutral_hi
+        penalty = 1.0 + (rtt / 60.0) ** 2  # rtt_penalty(rtt), inline
         # The caller end was checked above; the callee keeps
         # Peer.add_partner's guard and never overwrites an end it has.
         a_partners[b_id] = Link(rtt, cap, neutral, penalty, now, b.ip)
         if a_id not in b_partners:
             b_partners[a_id] = Link(rtt, cap, neutral, penalty, now, a.ip)
-        obs = self.obs
-        if obs.enabled:
-            obs.count("exchange.connects")
+        self._connects += 1
         return True
 
     def disconnect(self, a: Peer, partner_id: int) -> None:
         """Tear down both ends of a partnership (if the partner is alive)."""
-        self.obs.count("exchange.disconnects")
+        self._disconnects += 1
         a.remove_partner(partner_id)
         other = self.peers.get(partner_id)
         if other is not None:
@@ -316,13 +330,18 @@ class ExchangeEngine:
     # -- maintenance tick -------------------------------------------------------
 
     def maintenance_tick(self, peer: Peer, now: float) -> None:
-        """Control-plane work a client does every few minutes."""
+        """Control-plane work a client does every few minutes.
+
+        The policy's ``refine_suppliers`` is looked up on each call, like
+        every policy decision, so a wrapper installed on the policy class
+        sees one call per tick.
+        """
         self.clock = now
         if peer.next_tracker_retry <= now:
             self.tracker_contact(peer, now)
         self._tend_partners(peer, now)
         self._gossip(peer, now)
-        self.refine_suppliers(peer)
+        self.partner_policy.refine_suppliers(peer)
         self._update_volunteering(peer, now)
         self._starvation_check(peer, now)
         peer.last_tick = now
@@ -344,51 +363,63 @@ class ExchangeEngine:
           bootstrap and gossip fan out optimistically, and idle links
           decay.
 
-        The dead partners are removed first and the idle ones
-        disconnected after, each in partner-list order.
+        The dead partners are found at C speed and removed first; the
+        idle ones are disconnected after the walk, each in partner-list
+        order.  An idle disconnect is :meth:`disconnect` written inline:
+        the victim is alive and not a supplier, so only its end of the
+        link needs the supplier-set update.
         """
         peers = self.peers
         partners = peer.partners
         suppliers = peer.suppliers
+        for pid in list(filterfalse(peers.__contains__, partners)):
+            del partners[pid]
+            suppliers.discard(pid)
         cap06 = self._consts(peer.channel_id).cap06
         idle_timeout = 1.5 * self.config.report_interval_s
-        dead: list[int] = []
         victims: list[int] = []
         for pid, link in partners.items():
-            if pid not in peers:
-                dead.append(pid)
-                continue
             target = 0.7 * link.cap_kbps
             if cap06 < target:
                 target = cap06
             est = link.est_kbps
             if est < target:
                 link.est_kbps = est + 0.2 * (target - est)
-            if pid not in suppliers and now - link.established_at > idle_timeout:
+            # Most links are young or were active this round: the clock
+            # test rules them out before the supplier lookup.
+            if now - link.established_at > idle_timeout and pid not in suppliers:
                 victims.append(pid)
-        for pid in dead:
-            del partners[pid]
-            suppliers.discard(pid)
-        for pid in victims:
-            self.disconnect(peer, pid)
+        if victims:
+            peer_id = peer.peer_id
+            for pid in victims:
+                del partners[pid]
+                other = peers[pid]
+                other.partners.pop(peer_id, None)
+                other.suppliers.discard(peer_id)
+            self._disconnects += len(victims)
 
     def _gossip(self, peer: Peer, now: float) -> None:
-        """Ask one partner for recommendations (triadic closure)."""
+        """Ask one partner for recommendations (triadic closure).
+
+        Runs right after :meth:`_tend_partners` in a tick, so every
+        partner of ``peer`` is alive.  The helper's list may still name
+        departed peers; the candidates are the helper's partners that are
+        alive and not yet ``peer``'s, in the helper's order, filtered at
+        C speed.
+        """
         partners = peer.partners
         if not partners or peer.is_server:
             return
         peers = self.peers
-        alive_partners = [pid for pid in partners if pid in peers]
-        if not alive_partners:
-            return
         rng = self.rng
-        helper = peers[rng.choice(alive_partners)]
+        helper = peers[rng.choice(list(partners))]
+        helper_partners = helper.partners
+        their_ids = list(
+            filter(peers.__contains__, filterfalse(partners.__contains__, helper_partners))
+        )
         peer_id = peer.peer_id
-        their_ids = [
-            pid
-            for pid in helper.partners
-            if pid != peer_id and pid not in partners and pid in peers
-        ]
+        if peer_id in helper_partners:
+            their_ids.remove(peer_id)  # alive and never its own partner
         if not their_ids:
             return
         # The helper recommends the partners most likely to be able to
@@ -397,7 +428,7 @@ class ExchangeEngine:
         # propagate intra-ISP structure and close triangles.
         k = min(self.config.gossip_fanout, len(their_ids))
         pool = (
-            rng.sample(their_ids, min(2 * k, len(their_ids)))
+            sample_list(rng, their_ids, min(2 * k, len(their_ids)))
             if len(their_ids) > 2 * k
             else their_ids
         )
@@ -412,7 +443,7 @@ class ExchangeEngine:
 
         Per the paper this depends only on spare upload capacity; what a
         low-buffer peer can actually serve is limited separately by its
-        content availability (see ``_content_factor``).
+        content availability (see the capacity in ``run_round``'s pass 2).
         """
         if not self._tracker_reachable(now):
             return  # request lost (outage or brownout); try next tick
@@ -466,10 +497,12 @@ class ExchangeEngine:
         # supplier id -> (requester, requester's link, request, requester's
         # segment size in kbit)
         requests: dict[int, list[tuple[Peer, Link, float, float]]] = {}
+        requests_get = requests.get
+        consts_get = self._channel_consts.get
         for peer in peers.values():
             if peer.is_server:
                 continue
-            consts = self._consts(peer.channel_id)
+            consts = consts_get(peer.channel_id) or self._consts(peer.channel_id)
             cap = consts.request_cap
             segment_kbit = consts.rate_kbps * segment_seconds
             remaining = consts.demand
@@ -498,10 +531,18 @@ class ExchangeEngine:
             for _, pid, link in supplier_links:
                 if remaining <= 0.0:
                     break
-                req = min(cap, link.cap_kbps, remaining)
+                req = cap  # min(cap, link.cap_kbps, remaining)
+                if link.cap_kbps < req:
+                    req = link.cap_kbps
+                if remaining < req:
+                    req = remaining
                 if req <= 0.0:
                     continue
-                requests.setdefault(pid, []).append((peer, link, req, segment_kbit))
+                queue = requests_get(pid)
+                if queue is None:
+                    requests[pid] = [(peer, link, req, segment_kbit)]
+                else:
+                    queue.append((peer, link, req, segment_kbit))
                 # Budget against the *measured* delivery estimate (floored
                 # at the useful minimum), not the optimistic request: a
                 # peer whose suppliers under-deliver keeps asking further
@@ -521,6 +562,7 @@ class ExchangeEngine:
         degraded = self.faults.has_link_faults and bool(self.faults.degradations)
         transfers = 0
         received: dict[int, float] = {}
+        received_get = received.get
         for supplier_id, reqs in requests.items():
             supplier = peers.get(supplier_id)
             if supplier is None:
@@ -535,25 +577,26 @@ class ExchangeEngine:
                 total_weighted += weight
                 total_requested += req
             if supplier.is_server:
-                # Origin capacity scales with outages/brownouts: 0 while
-                # offline, fractional while degraded, full otherwise.
-                capacity = (
-                    supplier.upload_kbps
-                    * self._content_factor(supplier)
-                    * self.faults.server_capacity(now)
-                )
+                # Servers hold the full window.  Origin capacity scales
+                # with outages/brownouts: 0 while offline, fractional
+                # while degraded, full otherwise.
+                capacity = supplier.upload_kbps * self.faults.server_capacity(now)
             else:
-                capacity = supplier.upload_kbps * self._content_factor(supplier)
+                # The share of its upload a peer can usefully serve: a
+                # healthy peer holds (and keeps refreshing) nearly the
+                # whole sliding window; a starving one has little to offer.
+                capacity = supplier.upload_kbps * (0.30 + 0.70 * supplier.health)
             sent_total = 0.0
-            if total_requested <= capacity:
+            under = total_requested <= capacity
+            if under:
                 scale = 1.0
             else:
                 scale = capacity / total_weighted if total_weighted else 0.0
             supplier_partners_get = supplier.partners.get
             for (requester, link, req, segment_kbit), weight in zip(reqs, weights):
-                achieved = req if total_requested <= capacity else min(
-                    req, weight * scale
-                )
+                achieved = req
+                if not under and weight * scale < req:  # min(req, weight * scale)
+                    achieved = weight * scale
                 if degraded:
                     achieved *= self.faults.link_factor(
                         supplier.isp, requester.isp, now
@@ -571,7 +614,7 @@ class ExchangeEngine:
                     supplier_link.established_at = now
                 transfers += 1
                 sent_total += achieved
-                received[requester_id] = received.get(requester_id, 0.0) + achieved
+                received[requester_id] = received_get(requester_id, 0.0) + achieved
             supplier.sent_rate_kbps = sent_total
         stats.transfers = transfers
 
@@ -585,30 +628,44 @@ class ExchangeEngine:
         one_minus_hs = 1.0 - hs
         window_s = 120.0 * cfg.segment_seconds
         segments_advanced = int(duration / cfg.segment_seconds)
-        received_get = received.get
+        peers_get = peers.get
         for peer in peers.values():
             if peer.is_server:
                 continue
-            rate = self._consts(peer.channel_id).rate_kbps
+            channel_id = peer.channel_id
+            rate = (consts_get(channel_id) or self._consts(channel_id)).rate_kbps
             got = received_get(peer.peer_id, 0.0)
             peer.recv_rate_kbps = got
-            ratio = min(1.0, got / rate) if rate else 0.0
+            ratio = got / rate if rate else 0.0  # min(1.0, got / rate)
+            if not ratio < 1.0:
+                ratio = 1.0
             peer.health = one_minus_hs * peer.health + hs * ratio
-            peer.buffer_fill = min(
-                1.0,
-                max(0.0, peer.buffer_fill + (got - rate) * duration / (rate * window_s)),
-            )
+            # min(1.0, max(0.0, fill)): a fill that is not above 0.0 (-0.0
+            # and NaN included) is 0.0; then one not below 1.0 is 1.0.
+            fill = peer.buffer_fill + (got - rate) * duration / (rate * window_s)
+            if not fill > 0.0:
+                fill = 0.0
+            elif not fill < 1.0:
+                fill = 1.0
+            peer.buffer_fill = fill
             peer.playback_position += segments_advanced
-            self._update_depth(peer)
+            # Hop distance: one more than the nearest live supplier's, in
+            # peer order, so suppliers updated earlier this pass count.
+            best = 64
+            for pid in peer.suppliers:
+                other = peers_get(pid)
+                if other is not None and other.depth + 1 < best:
+                    best = other.depth + 1
+            peer.depth = best
             stats.viewers += 1
             stats.total_received_kbps += got
-            stats.per_channel_viewers[peer.channel_id] = (
-                stats.per_channel_viewers.get(peer.channel_id, 0) + 1
+            stats.per_channel_viewers[channel_id] = (
+                stats.per_channel_viewers.get(channel_id, 0) + 1
             )
             if got >= 0.9 * rate:
                 stats.satisfied += 1
-                stats.per_channel_satisfied[peer.channel_id] = (
-                    stats.per_channel_satisfied.get(peer.channel_id, 0) + 1
+                stats.per_channel_satisfied[channel_id] = (
+                    stats.per_channel_satisfied.get(channel_id, 0) + 1
                 )
         return stats
 
@@ -634,24 +691,3 @@ class ExchangeEngine:
             while peer.next_report < cutoff:
                 receive(build_report(peer, peer.next_report))
                 peer.next_report += interval
-
-    @staticmethod
-    def _content_factor(supplier: Peer) -> float:
-        """How much of its upload a peer can usefully serve.
-
-        A peer whose own playback is healthy holds (and keeps refreshing)
-        essentially the whole sliding window, so nearly all its capacity
-        is useful to partners; a starving peer has little to offer.
-        Servers always hold the full window.
-        """
-        if supplier.is_server:
-            return 1.0
-        return 0.30 + 0.70 * supplier.health
-
-    def _update_depth(self, peer: Peer) -> None:
-        best = 64
-        for pid in peer.suppliers:
-            other = self.peers.get(pid)
-            if other is not None and other.depth + 1 < best:
-                best = other.depth + 1
-        peer.depth = best

@@ -294,8 +294,12 @@ class UUSeeSystem:
             self.round_stats.append(stats)
             with obs.span("round.reports"):
                 self._emit_reports(now + dt)
+        attempts, connects, disconnects = self.exchange.take_partnership_counts()
         if obs.enabled:
             obs.count("sim.rounds")
+            obs.count("exchange.connect_attempts", attempts)
+            obs.count("exchange.connects", connects)
+            obs.count("exchange.disconnects", disconnects)
             obs.count("sim.arrivals", self.total_arrivals - arrivals0)
             obs.count("sim.departures", self.total_departures - departures0)
             obs.count("sim.crashes", self.total_crashes - crashes0)

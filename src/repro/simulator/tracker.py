@@ -111,16 +111,19 @@ class Tracker:
         volunteers = self._volunteers[channel_id]
         picked = volunteers.sample(self._rng, count, exclude=peer_id)
         handouts = self._handouts[channel_id]
-        servers = set(self._servers.get(channel_id, ()))
+        # A channel has a server or two: a list scan, no set per call.
+        servers = self._servers.get(channel_id, [])
+        limit = self.handout_limit
         for pid in picked:
             if pid in servers:
                 continue
-            handouts[pid] = handouts.get(pid, 0) + 1
-            if handouts[pid] >= self.handout_limit:
+            given = handouts.get(pid, 0) + 1
+            if given >= limit:
                 volunteers.discard(pid)
                 handouts.pop(pid, None)
+            else:
+                handouts[pid] = given
         if include_server:
-            servers = self._servers.get(channel_id, [])
             if servers and self._rng.random() < self.server_probability:
                 server = servers[self._rng.randrange(len(servers))]
                 if server not in picked:

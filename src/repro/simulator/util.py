@@ -39,13 +39,30 @@ class SampleableSet:
     def sample(
         self, rng: random.Random, k: int, *, exclude: Item | None = None
     ) -> list[Item]:
-        """Up to ``k`` distinct items, uniformly, optionally excluding one."""
-        n = len(self._items)
+        """Up to ``k`` distinct items, uniformly, optionally excluding one.
+
+        Every index is drawn the way ``rng.randrange(n)`` (rejection
+        path) or ``rng.shuffle`` (when ``k >= n``) draws it: ``getrandbits``
+        of ``n.bit_length()`` bits, redrawn while out of range.  Written
+        inline, so the draws and ``rng.getstate()`` are those of the
+        library calls without their two Python frames per index.
+        """
+        items = self._items
+        n = len(items)
         if n == 0 or k <= 0:
             return []
+        getrandbits = rng.getrandbits
         if k >= n:
-            result = [x for x in self._items if x != exclude]
-            rng.shuffle(result)
+            result = list(items)
+            if exclude in self._index:
+                result.remove(exclude)
+            # rng.shuffle(result)
+            for i in reversed(range(1, len(result))):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                result[i], result[j] = result[j], result[i]
             return result
         picked: list[Item] = []
         seen: set[int] = set()
@@ -53,13 +70,16 @@ class SampleableSet:
         # volunteer list), so this stays near k draws.
         attempts = 0
         max_attempts = 20 * k + 50
+        bits = n.bit_length()
         while len(picked) < k and attempts < max_attempts:
             attempts += 1
-            idx = rng.randrange(n)
+            idx = getrandbits(bits)  # rng.randrange(n)
+            while idx >= n:
+                idx = getrandbits(bits)
             if idx in seen:
                 continue
             seen.add(idx)
-            item = self._items[idx]
+            item = items[idx]
             if item == exclude:
                 continue
             picked.append(item)

@@ -38,6 +38,23 @@ def manual_client(port, **kwargs):
     return ReportClient("127.0.0.1", port, **defaults), clock
 
 
+def count_passes(client, limit=100):
+    """Count ``sync``'s delivery passes; raise past ``limit``, so a sync
+    that stops counting its passes fails instead of spinning."""
+    passes = 0
+    pump = client._pump
+
+    def counted():
+        nonlocal passes
+        passes += 1
+        if passes > limit:
+            raise AssertionError(f"sync() made more than {limit} passes")
+        pump()
+
+    client._pump = counted
+    return lambda: passes
+
+
 class TestValidation:
     def test_bad_transport_rejected(self):
         with pytest.raises(ValueError, match="transport"):
@@ -197,6 +214,37 @@ class TestDeadServer:
         assert client.stats.tcp_failures - before == 3
         assert client.pending_reports == 1
         client.close()
+
+    def test_sync_without_clock_progress_gives_up(self):
+        # A sleep that never advances the client's clock: after the first
+        # refused connect, every pass finds the backoff still running and
+        # makes no TCP attempt.  Each such pass counts toward the bound;
+        # the pass counter raises instead of letting a regression hang.
+        client, _ = manual_client(
+            free_port(), sleep=lambda _s: None, sync_max_attempts=4
+        )
+        client.append(report_at(1.0))
+        passes = count_passes(client)
+        assert client.sync() is False
+        assert passes() == 4
+        assert client.stats.tcp_failures == 1  # one real attempt
+        assert client.pending_reports == 1
+        client.close()
+
+    def test_sync_after_retry_after_without_clock_progress_gives_up(self):
+        # RETRY-AFTER is backpressure, not failure: the pass that got it
+        # does not count, the waiting passes that follow it do.
+        with ScriptedTcpServer(["RETRY-AFTER 0.25\n"]) as server:
+            client, _ = manual_client(
+                server.port, sleep=lambda _s: None, sync_max_attempts=3
+            )
+            client.append(report_at(1.0))
+            passes = count_passes(client)
+            assert client.sync() is False
+            assert passes() == 1 + 3
+            assert client.stats.retry_after == 1
+            assert client.stats.tcp_failures == 0
+            client.close()
 
     def test_close_is_idempotent(self):
         client, _ = manual_client(free_port(), sync_max_attempts=1)

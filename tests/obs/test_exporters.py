@@ -260,6 +260,25 @@ class TestSummarize:
         finalize_observer(obs, tmp_path)
         assert "Checkpoints" not in render_summary(tmp_path)
 
+    def test_render_summary_partnership_line(self, tmp_path):
+        obs = create_observer(tmp_path, clock=ManualClock())
+        for attempts, connects, disconnects in ((120, 100, 30), (80, 74, 50)):
+            obs.count("sim.rounds")
+            obs.count("exchange.connect_attempts", attempts)
+            obs.count("exchange.connects", connects)
+            obs.count("exchange.disconnects", disconnects)
+        finalize_observer(obs, tmp_path)
+        assert (
+            "Partnerships: 100.0 attempts, 87.0 connects (87.0% accepted), "
+            "40.0 disconnects per round\n"
+        ) in render_summary(tmp_path)
+
+    def test_render_summary_without_partnerships(self, tmp_path):
+        obs = create_observer(tmp_path, clock=ManualClock())
+        obs.count("sim.rounds")
+        finalize_observer(obs, tmp_path)
+        assert "Partnerships" not in render_summary(tmp_path)
+
     def test_render_summary_trace_pass_line(self, tmp_path):
         clock = ManualClock()
         obs = create_observer(tmp_path, clock=clock)

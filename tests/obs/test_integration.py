@@ -37,6 +37,7 @@ DETERMINISTIC_COUNTERS = (
     "sim.arrivals",
     "sim.departures",
     "sim.crashes",
+    "exchange.connect_attempts",
     "exchange.connects",
     "exchange.disconnects",
     "exchange.tracker_contacts",
@@ -143,8 +144,15 @@ class TestCampaignEventLog:
 
     def test_key_counters_nonzero(self, obs_campaign):
         state = json.loads((obs_campaign / "metrics.json").read_text())
-        for name in ("sim.rounds", "exchange.connects", "trace.reports_received"):
+        for name in (
+            "sim.rounds",
+            "exchange.connect_attempts",
+            "exchange.connects",
+            "trace.reports_received",
+        ):
             assert state["counters"].get(name, 0) > 0, name
+        counters = state["counters"]
+        assert counters["exchange.connect_attempts"] >= counters["exchange.connects"]
 
     def test_summary_renders_sections(self, obs_campaign):
         text = render_summary(obs_campaign)
@@ -152,6 +160,7 @@ class TestCampaignEventLog:
         assert "round.exchange" in text
         assert "campaign.run" in text
         assert "Counters" in text
+        assert "Partnerships: " in text
 
     def test_checkpoint_saves_are_spans_with_their_bytes(self, obs_campaign):
         events, _ = read_events(obs_campaign / "events.jsonl")
