@@ -23,36 +23,28 @@ from pathlib import Path
 
 from repro.cli import main as repro_cli
 from repro.core.experiments import run_campaign
-from repro.workloads import presets
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    # Unset flags keep run_campaign's defaults: 14 days at base 1000,
+    # flash crowd on day 5.
     parser.add_argument("--days", type=float, default=None, help="default: 14")
     parser.add_argument("--base", type=float, default=None, help="default: 1000")
     parser.add_argument("--seed", type=int, default=2006)
     parser.add_argument("--out-dir", type=Path, default=Path("paper_run"))
     args = parser.parse_args()
 
-    config, preset_days = presets.paper_two_weeks(seed=args.seed)
-    days = args.days if args.days is not None else preset_days
-    base = args.base if args.base is not None else config.base_concurrency
+    scale = {"days": args.days, "base_concurrency": args.base}
+    scale = {k: v for k, v in scale.items() if v is not None}
 
     trace_path = args.out_dir / "trace"
     # A rerun into the same --out-dir replaces the previous campaign.
     shutil.rmtree(trace_path, ignore_errors=True)
-    print(
-        f"Simulating {days:g} days at base concurrency {base:g} "
-        f"(seed {args.seed}) -> {trace_path}"
-    )
+    shown = ", ".join(f"{k}={v:g}" for k, v in scale.items()) or "default scale"
+    print(f"Simulating the two weeks ({shown}, seed {args.seed}) -> {trace_path}")
     t0 = time.time()
-    run_campaign(
-        trace_path,
-        days=days,
-        base_concurrency=base,
-        seed=args.seed,
-        with_flash_crowd=True,
-    )
+    run_campaign(trace_path, seed=args.seed, **scale)
     print(f"simulation finished in {time.time() - t0:.0f}s")
 
     # Every figure from one pass over the trace; a figure the trace is

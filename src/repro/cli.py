@@ -462,6 +462,13 @@ def _cmd_run_fleet(args: argparse.Namespace) -> int:
             f"rerun the same command to resume in {args.trace_dir}"
         )
         return 3
+    if not result.completed:
+        print(
+            "error: no shard completed; the campaign has no trace "
+            "(see health.json)",
+            file=sys.stderr,
+        )
+        return 1
     if result.merge is not None:
         print(
             f"campaign complete: {result.merge.records} reports merged "
@@ -476,6 +483,19 @@ def _cmd_run_fleet(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        # Before the observer, the reporter or the campaign makes a
+        # directory: a bad value leaves nothing behind.
+        ex.check_campaign_settings(
+            days=args.days,
+            base_concurrency=args.base,
+            checkpoint_every_rounds=args.checkpoint_every,
+            keep_last=args.keep_last,
+            records_per_segment=args.segment_records,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.shards > 1:
         verb = "resuming" if args.resume else "starting"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,7 +66,6 @@ from repro.simulator.checkpoint import (
     draw_fingerprint,
     restore_into,
 )
-from repro.simulator.failures import FaultPlan
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.system import SystemConfig, UUSeeSystem
 from repro.traces.health import TraceHealth
@@ -118,6 +118,32 @@ def normalize_policy(policy: SelectionPolicy | str) -> tuple[SelectionPolicy, st
     return SelectionPolicy.UUSEE, canonical_spec(name, params)
 
 
+def check_campaign_settings(
+    *,
+    days: float,
+    base_concurrency: float,
+    checkpoint_every_rounds: int,
+    keep_last: int,
+    records_per_segment: int,
+) -> None:
+    """Raise ``ValueError`` for a campaign setting no run can use.
+
+    :func:`run_campaign` and :func:`repro.fleet.run_fleet_campaign`
+    call it before they make a directory or spawn a worker, so a bad
+    value leaves nothing on disk and the corrected rerun starts clean.
+    """
+    for name, value in (("days", days), ("base_concurrency", base_concurrency)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    for name, count in (
+        ("checkpoint_every_rounds", checkpoint_every_rounds),
+        ("keep_last", keep_last),
+        ("records_per_segment", records_per_segment),
+    ):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
+
+
 @dataclass
 class CampaignResult:
     """Outcome of a (possibly resumed) crash-safe measurement campaign."""
@@ -145,7 +171,6 @@ def run_campaign(
     policy: SelectionPolicy | str = SelectionPolicy.UUSEE,
     protocol: ProtocolConfig | None = None,
     catalogue: ChannelCatalogue | None = None,
-    faults: FaultPlan | None = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every_rounds: int = 36,
     keep_last: int = 3,
@@ -205,8 +230,16 @@ def run_campaign(
     identity); ``compute_content_sha`` additionally digests the final
     trace content into ``CampaignResult.content_sha256``.  ``engine``
     accepts only ``"object"`` (see ``SystemConfig.engine``); any other
-    value raises ``ValueError`` before anything is written.
+    value, or a setting :func:`check_campaign_settings` rejects, raises
+    ``ValueError`` before anything is written.
     """
+    check_campaign_settings(
+        days=days,
+        base_concurrency=base_concurrency,
+        checkpoint_every_rounds=checkpoint_every_rounds,
+        keep_last=keep_last,
+        records_per_segment=records_per_segment,
+    )
     if isinstance(resume, str) and resume != "auto":
         raise ValueError(f"resume must be True, False or 'auto', got {resume!r}")
     trace_dir = Path(trace_dir)
@@ -222,7 +255,6 @@ def run_campaign(
         policy=policy_enum,
         overlay=overlay,
         protocol=protocol or ProtocolConfig(),
-        faults=faults,
         engine=engine,
     )
     if ingest is not None:

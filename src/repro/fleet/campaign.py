@@ -17,7 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.core.experiments import write_campaign_health_payload
+from repro.core.experiments import (
+    check_campaign_settings,
+    write_campaign_health_payload,
+)
 from repro.fleet.merge import MergeResult, merge_shards
 from repro.fleet.plan import ChaosSpec, IngestSpec, ShardPlan, build_plan
 from repro.fleet.supervisor import (
@@ -147,8 +150,17 @@ def run_fleet_campaign(
     resume from their newest valid checkpoint, and an already-valid
     merge is reused rather than recomputed.  ``stop`` (when set during
     the run) interrupts every worker gracefully; the merge is then
-    deferred to the next, uninterrupted, invocation.
+    deferred to the next, uninterrupted, invocation.  Bad settings
+    (:func:`~repro.core.experiments.check_campaign_settings`) and a bad
+    policy raise ``ValueError`` before any directory is made.
     """
+    check_campaign_settings(
+        days=config.days,
+        base_concurrency=config.base_concurrency,
+        checkpoint_every_rounds=config.checkpoint_every_rounds,
+        keep_last=config.keep_last,
+        records_per_segment=config.records_per_segment,
+    )
     try:
         # Fail before any worker spawns: a bad spec would otherwise
         # crash every shard and read as a fleet-wide poison event.

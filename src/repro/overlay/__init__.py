@@ -28,11 +28,11 @@ from repro.overlay.base import (
     PartnerPolicy,
     PeerLike,
     PolicyError,
+    canonical_spec,
 )
 from repro.overlay.registry import (
     available_policies,
     build_policy,
-    canonical_spec,
     derive_policy_seed,
     parse_policy_spec,
     register,

@@ -86,6 +86,14 @@ class PolicyError(ValueError):
     """A policy spec could not be parsed or built."""
 
 
+def canonical_spec(name: str, params: dict[str, float]) -> str:
+    """Render a parsed spec back to its canonical (sorted-key) string."""
+    if not params:
+        return name
+    body = ",".join(f"{k}={params[k]:g}" for k in sorted(params))
+    return f"{name}:{body}"
+
+
 class LinkLike(Protocol):
     """What a policy may read from a partnership link."""
 
@@ -182,11 +190,7 @@ class PartnerPolicy:
 
     def spec(self) -> str:
         """Canonical ``name[:key=val,...]`` form (sorted keys)."""
-        params = self.params
-        if not params:
-            return self.name
-        body = ",".join(f"{k}={params[k]:g}" for k in sorted(params))
-        return f"{self.name}:{body}"
+        return canonical_spec(self.name, self.params)
 
     # -- scoring -----------------------------------------------------------
 

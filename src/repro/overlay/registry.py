@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.overlay.base import PartnerPolicy, PolicyError
+from repro.overlay.base import PartnerPolicy, PolicyError, canonical_spec
 
 _REGISTRY: dict[str, type[PartnerPolicy]] = {}
 
@@ -67,14 +67,6 @@ def parse_policy_spec(spec: str) -> tuple[str, dict[str, float]]:
                 )
             params[key] = _parse_value(value.strip())
     return name, params
-
-
-def canonical_spec(name: str, params: dict[str, float]) -> str:
-    """Render a parsed spec back to its canonical (sorted-key) string."""
-    if not params:
-        return name
-    body = ",".join(f"{k}={params[k]:g}" for k in sorted(params))
-    return f"{name}:{body}"
 
 
 def derive_policy_seed(seed: int, name: str) -> int:

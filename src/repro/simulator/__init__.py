@@ -33,7 +33,7 @@ from repro.simulator.checkpoint import (
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.buffer import BufferMap
 from repro.simulator.channel import Channel, ChannelCatalogue, default_catalogue
-from repro.simulator.tracker import Tracker, TrackerPool
+from repro.simulator.tracker import Tracker
 from repro.simulator.peer import Link, Peer
 from repro.simulator.failures import (
     Brownout,
@@ -66,7 +66,6 @@ __all__ = [
     "ChannelCatalogue",
     "default_catalogue",
     "Tracker",
-    "TrackerPool",
     "Brownout",
     "CrashWindow",
     "FaultPlan",

@@ -50,10 +50,14 @@ from typing import TYPE_CHECKING, Any, BinaryIO
 
 from repro.ioutil import atomic_writer
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
+from repro.simulator.failures import OutageSchedule
 from repro.simulator.gcpolicy import campaign_gc
+from repro.simulator.system import SERVER_UPLOAD_KBPS, SystemConfig
+from repro.workloads.churn import SessionDurationModel
+from repro.workloads.population import PopulationModel
 
 if TYPE_CHECKING:
-    from repro.simulator.system import SystemConfig, UUSeeSystem
+    from repro.simulator.system import UUSeeSystem
 
 #: Envelope magic; a file that does not start with this is not a checkpoint.
 MAGIC = b"REPROCKPT"
@@ -83,6 +87,26 @@ class CheckpointCorruptError(CheckpointError):
     """
 
 
+#: Fields a config dataclass no longer has, each with the one value
+#: every config held, keyed by the live field they stood before.  The
+#: token still renders them there, so checkpoints written while they
+#: existed keep resuming.
+_RETIRED_FIELDS: dict[type, dict[str, tuple[tuple[str, object], ...]]] = {
+    SystemConfig: {
+        "protocol": (("weekend_boost", PopulationModel.weekend_boost),),
+        "faults": (
+            ("sessions", SessionDurationModel()),
+            ("num_trackers", 1),
+            ("outages", OutageSchedule()),
+        ),
+        "trace_loss_rate": (
+            ("servers_per_channel", 1),
+            ("server_upload_kbps", SERVER_UPLOAD_KBPS),
+        ),
+    },
+}
+
+
 def _canonical(value: object) -> str:
     """A hash-stable textual form of a config value.
 
@@ -93,15 +117,19 @@ def _canonical(value: object) -> str:
     ``token_exclude`` metadata are skipped: they were added after
     tokens existed, and rendering them would reshuffle every
     pre-existing token (such fields opt into the token through an
-    explicit suffix in :func:`config_token` instead).
+    explicit suffix in :func:`config_token` instead).  Retired fields
+    (:data:`_RETIRED_FIELDS`) render where they stood.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        body = ",".join(
-            f"{f.name}={_canonical(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-            if not f.metadata.get("token_exclude")
-        )
-        return f"{type(value).__qualname__}({body})"
+        retired = _RETIRED_FIELDS.get(type(value), {})
+        parts: list[str] = []
+        for f in dataclasses.fields(value):
+            if f.metadata.get("token_exclude"):
+                continue
+            for name, old in retired.get(f.name, ()):
+                parts.append(f"{name}={_canonical(old)}")
+            parts.append(f"{f.name}={_canonical(getattr(value, f.name))}")
+        return f"{type(value).__qualname__}({','.join(parts)})"
     if isinstance(value, enum.Enum):
         return f"{type(value).__qualname__}.{value.name}"
     if isinstance(value, (set, frozenset)):
@@ -115,7 +143,8 @@ def _canonical(value: object) -> str:
         return "[" + ",".join(_canonical(v) for v in value) + "]"
     if isinstance(value, (str, int, float, bool)) or value is None:
         return repr(value)
-    # Plain objects (e.g. OutageSchedule): vars() in sorted key order.
+    # Any other object (no config field holds one today): vars() in
+    # sorted key order.
     body = ",".join(
         f"{k}={_canonical(v)}" for k, v in sorted(vars(value).items())
     )
@@ -150,11 +179,10 @@ def draw_fingerprint(system: UUSeeSystem) -> str:
     a shard that crashed and resumed must land on the *same* fingerprint
     as one that ran straight through.  Every stream drawn during a
     round is folded in, including those restored only by pickling their
-    owners: each tracker's (every tracker of a ``TrackerPool``) and the
-    arrival process's.
+    owners: the tracker's and the arrival process's.  The tracker's
+    state sits in a one-item list, the shape of builds that could run a
+    tracker farm, so fingerprints stay byte-identical.
     """
-    tracker = system.tracker
-    trackers = getattr(tracker, "_trackers", [tracker])
     states = {
         "latency": system.latency._rng.getstate(),
         "bandwidth": system.bandwidth._rng.getstate(),
@@ -162,7 +190,7 @@ def draw_fingerprint(system: UUSeeSystem) -> str:
         "system": system._rng.getstate(),
         "fault": system._fault_rng.getstate(),
         "trace_server": system.trace_server.injector.state()["rng"],
-        "tracker": [t._rng.getstate() for t in trackers],
+        "tracker": [system.tracker._rng.getstate()],
         "arrivals": system.arrivals._rng.getstate(),
     }
     # Only policies owning a private stream contribute; legacy policies

@@ -33,12 +33,12 @@ from typing import NamedTuple
 
 from repro.network.latency import LatencyModel
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
-from repro.overlay import PartnerPolicy, build_policy
+from repro.overlay import PartnerPolicy
 from repro.overlay.base import sample_list
 from repro.simulator.channel import ChannelCatalogue
 from repro.simulator.failures import FaultPlan
 from repro.simulator.peer import Link, Peer
-from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
+from repro.simulator.protocol import ProtocolConfig
 from repro.simulator.tracker import Tracker
 from repro.traces.records import PeerReport
 from repro.traces.reporter import build_report
@@ -94,11 +94,10 @@ class ExchangeEngine:
         tracker: Tracker,
         latency: LatencyModel,
         config: ProtocolConfig,
-        policy: SelectionPolicy = SelectionPolicy.UUSEE,
+        partner_policy: PartnerPolicy,
         seed: int = 0,
         faults: FaultPlan | None = None,
         obs: AnyObserver = NULL_OBSERVER,
-        partner_policy: PartnerPolicy | None = None,
     ) -> None:
         self.peers = peers
         self.catalogue = catalogue
@@ -109,11 +108,8 @@ class ExchangeEngine:
         self.faults = faults if faults is not None else FaultPlan()
         self.rng = random.Random(seed)
         # Selection decisions are delegated to a PartnerPolicy
-        # (repro.overlay).  The default is built from the legacy enum so
-        # direct-engine construction keeps working; legacy policies share
-        # self.rng and reproduce the pre-extraction draws bit-for-bit.
-        if partner_policy is None:
-            partner_policy = build_policy(policy.value, seed=seed)
+        # (repro.overlay); legacy policies share self.rng and reproduce
+        # the pre-extraction draws bit-for-bit.
         self.partner_policy = partner_policy
         partner_policy.bind(self)
         #: Simulated time of the engine's latest entry point; structured

@@ -21,10 +21,10 @@ model spans four axes:
   discover the death via the idle timeout — distinct from graceful
   departures, which unregister immediately.
 
-A :class:`FaultPlan` bundles all of these; :class:`UUSeeSystem` and the
-exchange engine consult it each round.  ``OutageSchedule`` is kept as
-the binary-outage subset (and remains the ``SystemConfig.outages``
-back-compat surface); its membership checks are O(log n) via merged
+A :class:`FaultPlan` bundles all of these and is the one way to
+schedule them (``SystemConfig.faults``); :class:`UUSeeSystem` and the
+exchange engine consult it each round.  Its binary outages live in an
+:class:`OutageSchedule`, whose membership checks are O(log n) via merged
 sorted windows.
 
 Expected behaviour, asserted in tests and benchmarks: quality dips
@@ -125,13 +125,6 @@ class OutageSchedule:
     def empty(self) -> bool:
         """No failures scheduled."""
         return not self.tracker_outages and not self.server_outages
-
-    def merged_with(self, other: OutageSchedule) -> OutageSchedule:
-        """A new schedule holding both schedules' windows."""
-        return OutageSchedule(
-            tracker_outages=self.tracker_outages + other.tracker_outages,
-            server_outages=self.server_outages + other.server_outages,
-        )
 
 
 @dataclass(frozen=True)
@@ -310,17 +303,4 @@ class FaultPlan:
         """Per-peer crash hazard at ``now``, in 1/seconds."""
         return (
             sum(c.rate_per_hour for c in self.crashes if c.active(now)) / 3_600.0
-        )
-
-    def merged_with_outages(self, outages: OutageSchedule) -> FaultPlan:
-        """A new plan with ``outages`` folded in (other axes shared)."""
-        if outages.empty:
-            return self
-        return FaultPlan(
-            outages=self.outages.merged_with(outages),
-            tracker_brownouts=self.tracker_brownouts,
-            server_brownouts=self.server_brownouts,
-            partitions=self.partitions,
-            degradations=self.degradations,
-            crashes=self.crashes,
         )

@@ -34,11 +34,11 @@ from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.simulator.channel import ChannelCatalogue, default_catalogue
 from repro.simulator.engine import EventEngine
 from repro.simulator.exchange import ExchangeEngine, RoundStats
-from repro.simulator.failures import FaultPlan, OutageSchedule
+from repro.simulator.failures import FaultPlan
 from repro.simulator.gcpolicy import campaign_gc
 from repro.simulator.peer import Peer
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
-from repro.simulator.tracker import Tracker, TrackerPool
+from repro.simulator.tracker import Tracker
 from repro.traces.server import TraceServer
 from repro.traces.store import TraceStore
 from repro.workloads.churn import SessionDurationModel
@@ -53,6 +53,8 @@ if TYPE_CHECKING:
 #: unmapped (they are infrastructure, not peers).
 SERVER_BLOCK = CidrBlock.parse("8.8.0.0/16")
 SERVER_ISP = "UUSee Servers"
+#: Upload (and download) capacity of each channel's one streaming server.
+SERVER_UPLOAD_KBPS = 24_000.0
 
 
 @dataclass
@@ -62,7 +64,6 @@ class SystemConfig:
     seed: int = 0
     base_concurrency: float = 1_000.0
     flash_crowd: FlashCrowdEvent | None = field(default_factory=FlashCrowdEvent)
-    weekend_boost: float = 1.07
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     policy: SelectionPolicy = SelectionPolicy.UUSEE
     #: Overlay policy spec ``name[:key=val,...]`` (see ``repro.overlay``).
@@ -70,16 +71,9 @@ class SystemConfig:
     #: checkpoint config token, so a campaign checkpointed under one
     #: overlay refuses to resume under another.
     overlay: str = ""
-    sessions: SessionDurationModel = field(default_factory=SessionDurationModel)
-    num_trackers: int = 1  # UUSee runs a tracker farm; 1 is equivalent
-    #   for the topology metrics, >1 partitions the volunteer view
-    outages: OutageSchedule = field(default_factory=OutageSchedule)
-    #   ``outages`` is the binary-failure back-compat surface; ``faults``
-    #   carries the full fault plan (brownouts, partitions, degradations,
-    #   crashes).  Both may be given; the outages are folded in.
+    #: Every scheduled infrastructure fault: outages, brownouts,
+    #: partitions, degradations and crashes (``repro.simulator.failures``).
     faults: FaultPlan | None = None
-    servers_per_channel: int = 1
-    server_upload_kbps: float = 24_000.0
     trace_loss_rate: float = 0.01
     #: Exchange-engine backend.  ``"object"`` (the Peer/Link object
     #: graph) is the only engine; the field stays so callers that pass
@@ -99,9 +93,7 @@ class SystemConfig:
     def population(self) -> PopulationModel:
         """The target-population model this config describes."""
         return PopulationModel(
-            base_concurrency=self.base_concurrency,
-            weekend_boost=self.weekend_boost,
-            flash_crowd=self.flash_crowd,
+            base_concurrency=self.base_concurrency, flash_crowd=self.flash_crowd
         )
 
 
@@ -131,24 +123,17 @@ class UUSeeSystem:
         self.bandwidth = BandwidthSampler(seed=seed_for())
         self.engine = EventEngine()
         obs.bind_sim_clock(lambda: self.engine.now)
-        if config.num_trackers > 1:
-            self.tracker: Tracker | TrackerPool = TrackerPool(
-                config.num_trackers, seed=seed_for()
-            )
-        else:
-            self.tracker = Tracker(seed=seed_for())
+        self.tracker = Tracker(seed=seed_for())
         self.trace_server = TraceServer(
             store, loss_rate=config.trace_loss_rate, seed=seed_for(), obs=obs
         )
         self.arrivals = ArrivalProcess(
             config.population(),
-            config.sessions,
+            SessionDurationModel(),
             seed=seed_for(),
             lifetime_quantum_s=config.protocol.round_seconds,
         )
-        self.faults = (config.faults or FaultPlan()).merged_with_outages(
-            config.outages
-        )
+        self.faults = config.faults or FaultPlan()
         self.peers: dict[int, Peer] = {}
         # The overlay policy draws nothing from the master RNG: policies
         # that need randomness derive their own stream from config.seed
@@ -162,11 +147,10 @@ class UUSeeSystem:
             tracker=self.tracker,
             latency=self.latency,
             config=config.protocol,
-            policy=config.policy,
+            partner_policy=self.partner_policy,
             seed=seed_for(),
             faults=self.faults,
             obs=obs,
-            partner_policy=self.partner_policy,
         )
         self._rng = random.Random(seed_for())
         self._allocators: dict[str, IpAllocator] = {
@@ -196,30 +180,29 @@ class UUSeeSystem:
 
     def _create_servers(self) -> None:
         for channel in self.catalogue:
-            for _ in range(self.config.servers_per_channel):
-                peer_id = self._next_peer_id
-                self._next_peer_id += 1
-                server = Peer(
-                    peer_id,
-                    ip=self._server_allocator.allocate(),
-                    isp=SERVER_ISP,
-                    is_china=True,  # servers sit in well-connected POPs
-                    channel_id=channel.channel_id,
-                    upload_kbps=self.config.server_upload_kbps,
-                    download_kbps=self.config.server_upload_kbps,
-                    class_name="server",
-                    join_time=0.0,
-                    depart_time=float("inf"),
-                    is_server=True,
-                )
-                server.health = 1.0
-                server.buffer_fill = 1.0
-                self.peers[peer_id] = server
-                self.tracker.add_server(channel.channel_id, peer_id)
-                self.tracker.register(channel.channel_id, peer_id)
-                self.tracker.volunteer(channel.channel_id, peer_id)
-                server.volunteered = True
-                server.registered = True
+            peer_id = self._next_peer_id
+            self._next_peer_id += 1
+            server = Peer(
+                peer_id,
+                ip=self._server_allocator.allocate(),
+                isp=SERVER_ISP,
+                is_china=True,  # servers sit in well-connected POPs
+                channel_id=channel.channel_id,
+                upload_kbps=SERVER_UPLOAD_KBPS,
+                download_kbps=SERVER_UPLOAD_KBPS,
+                class_name="server",
+                join_time=0.0,
+                depart_time=float("inf"),
+                is_server=True,
+            )
+            server.health = 1.0
+            server.buffer_fill = 1.0
+            self.peers[peer_id] = server
+            self.tracker.add_server(channel.channel_id, peer_id)
+            self.tracker.register(channel.channel_id, peer_id)
+            self.tracker.volunteer(channel.channel_id, peer_id)
+            server.volunteered = True
+            server.registered = True
 
     # -- run loop ----------------------------------------------------------
 

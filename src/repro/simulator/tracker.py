@@ -130,89 +130,3 @@ class Tracker:
                     picked.append(server)
         return picked
 
-
-class TrackerPool:
-    """Several tracking servers sharing the load (paper Sec. 3.1).
-
-    UUSee deploys multiple tracking servers; each peer talks to one of
-    them.  Peers are assigned a home tracker by id, so every tracker
-    sees (and hands out) only its own partition of the volunteer
-    population — new peers therefore bootstrap from a subset of the
-    network, exactly the partial-view effect a tracker farm has.
-    Streaming servers are registered with every tracker.
-    """
-
-    def __init__(
-        self,
-        num_trackers: int,
-        *,
-        seed: int = 0,
-        server_probability: float = 0.25,
-        handout_limit: int = 12,
-    ) -> None:
-        if num_trackers < 1:
-            raise ValueError("need at least one tracker")
-        rng = random.Random(seed)
-        self._trackers = [
-            Tracker(
-                seed=rng.randrange(2**62),
-                server_probability=server_probability,
-                handout_limit=handout_limit,
-            )
-            for _ in range(num_trackers)
-        ]
-
-    def __len__(self) -> int:
-        return len(self._trackers)
-
-    def _home(self, peer_id: int) -> Tracker:
-        return self._trackers[peer_id % len(self._trackers)]
-
-    # -- same interface as Tracker ------------------------------------------
-
-    def add_server(self, channel_id: int, server_peer_id: int) -> None:
-        """Register a streaming server with every tracker in the pool."""
-        for tracker in self._trackers:
-            tracker.add_server(channel_id, server_peer_id)
-
-    def register(self, channel_id: int, peer_id: int) -> None:
-        """Register the peer with its home tracker."""
-        self._home(peer_id).register(channel_id, peer_id)
-
-    def unregister(self, channel_id: int, peer_id: int) -> None:
-        """Remove the peer from its home tracker."""
-        self._home(peer_id).unregister(channel_id, peer_id)
-
-    def volunteer(self, channel_id: int, peer_id: int) -> None:
-        """List the peer as a volunteer on its home tracker."""
-        self._home(peer_id).volunteer(channel_id, peer_id)
-
-    def unvolunteer(self, channel_id: int, peer_id: int) -> None:
-        """De-list the peer on its home tracker."""
-        self._home(peer_id).unvolunteer(channel_id, peer_id)
-
-    def bootstrap(self, channel_id: int, peer_id: int, count: int) -> list[int]:
-        """Initial partners from the peer's home tracker's partition."""
-        return self._home(peer_id).bootstrap(channel_id, peer_id, count)
-
-    def refresh(self, channel_id: int, peer_id: int, count: int) -> list[int]:
-        """Last-resort partners from the home tracker's partition."""
-        return self._home(peer_id).refresh(channel_id, peer_id, count)
-
-    def member_count(self, channel_id: int) -> int:
-        """Members across all trackers."""
-        return sum(t.member_count(channel_id) for t in self._trackers)
-
-    def volunteer_count(self, channel_id: int) -> int:
-        """Volunteers across all trackers."""
-        return sum(t.volunteer_count(channel_id) for t in self._trackers)
-
-    @property
-    def bootstrap_requests(self) -> int:
-        """Bootstrap requests served across all trackers."""
-        return sum(t.bootstrap_requests for t in self._trackers)
-
-    @property
-    def refresh_requests(self) -> int:
-        """Refresh requests served across all trackers."""
-        return sum(t.refresh_requests for t in self._trackers)

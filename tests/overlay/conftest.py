@@ -5,7 +5,7 @@ from repro.overlay import build_policy
 from repro.simulator.channel import Channel, ChannelCatalogue
 from repro.simulator.exchange import ExchangeEngine
 from repro.simulator.peer import Peer
-from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
+from repro.simulator.protocol import ProtocolConfig
 from repro.simulator.tracker import Tracker
 
 RATE = 400.0
@@ -22,7 +22,6 @@ def make_world(spec="uusee", *, config=None, seed=0):
         tracker=tracker,
         latency=LatencyModel(seed=seed),
         config=config or ProtocolConfig(),
-        policy=SelectionPolicy.UUSEE,
         seed=seed,
         partner_policy=build_policy(spec, seed=seed),
     )

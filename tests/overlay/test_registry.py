@@ -43,6 +43,23 @@ class TestParseSpec:
         assert canonical_spec("x", {"b": 2, "a": 1.5}) == "x:a=1.5,b=2"
         assert canonical_spec("x", {}) == "x"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "uusee",
+            "random",
+            "tree",
+            "locality:mix=0.75",
+            "hamiltonian:k=2",
+            "random-regular:d=4",
+            "strandcast",
+        ],
+    )
+    def test_policy_spec_is_the_canonical_spec(self, spec):
+        # The overlay matrix of CI; health.json's policy.spec is spec().
+        canonical = canonical_spec(*parse_policy_spec(spec))
+        assert build_policy(spec).spec() == canonical == spec
+
 
 class TestRegistry:
     def test_all_policies_registered(self):

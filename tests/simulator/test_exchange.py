@@ -5,16 +5,17 @@ import random
 import pytest
 
 from repro.network.latency import LatencyModel, LinkQuality
+from repro.overlay import build_policy
 from repro.simulator.channel import Channel, ChannelCatalogue
 from repro.simulator.exchange import ExchangeEngine
 from repro.simulator.peer import Peer, rtt_penalty
-from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
+from repro.simulator.protocol import ProtocolConfig
 from repro.simulator.tracker import Tracker
 
 RATE = 400.0
 
 
-def make_world(policy=SelectionPolicy.UUSEE, config=None, seed=0):
+def make_world(spec="uusee", config=None, seed=0):
     peers = {}
     catalogue = ChannelCatalogue([Channel(0, "CH", RATE, 1.0)])
     tracker = Tracker(seed=seed, server_probability=0.0)
@@ -24,7 +25,7 @@ def make_world(policy=SelectionPolicy.UUSEE, config=None, seed=0):
         tracker=tracker,
         latency=LatencyModel(seed=seed),
         config=config or ProtocolConfig(),
-        policy=policy,
+        partner_policy=build_policy(spec, seed=seed),
         seed=seed,
     )
     return peers, tracker, engine
@@ -150,7 +151,7 @@ class TestSelection:
         assert s.suppliers == set()
 
     def test_tree_policy_only_uses_closer_peers(self):
-        peers, _, ex = make_world(policy=SelectionPolicy.TREE)
+        peers, _, ex = make_world(spec="tree")
         a = make_peer(peers, 1)
         a.depth = 3
         closer = make_peer(peers, 2)
@@ -164,7 +165,7 @@ class TestSelection:
         assert 3 not in a.suppliers
 
     def test_random_policy_still_selects(self):
-        peers, _, ex = make_world(policy=SelectionPolicy.RANDOM)
+        peers, _, ex = make_world(spec="random")
         a = make_peer(peers, 1)
         for i in range(2, 30):
             ex.connect(a, make_peer(peers, i), 0.0)

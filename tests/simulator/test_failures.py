@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator import SystemConfig, UUSeeSystem
-from repro.simulator.failures import Outage, OutageSchedule
+from repro.simulator.failures import FaultPlan, Outage, OutageSchedule
 from repro.traces import InMemoryTraceStore
 
 HOUR = 3600.0
@@ -11,7 +11,10 @@ HOUR = 3600.0
 
 def run_with(outages, hours=8, base=250.0, seed=9):
     config = SystemConfig(
-        seed=seed, base_concurrency=base, flash_crowd=None, outages=outages
+        seed=seed,
+        base_concurrency=base,
+        flash_crowd=None,
+        faults=FaultPlan(outages=outages),
     )
     system = UUSeeSystem(config, InMemoryTraceStore())
     system.run(seconds=hours * HOUR)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.network.latency import LatencyModel
+from repro.overlay import build_policy
 from repro.simulator import SystemConfig, UUSeeSystem
 from repro.simulator.channel import Channel, ChannelCatalogue
 from repro.simulator.exchange import ExchangeEngine
@@ -224,6 +225,7 @@ def make_world(config=None, faults=None, seed=0):
         tracker=tracker,
         latency=LatencyModel(seed=seed),
         config=config or ProtocolConfig(),
+        partner_policy=build_policy("uusee", seed=seed),
         seed=seed,
         faults=faults,
     )
@@ -320,12 +322,11 @@ class TestFaultPlanPlumbing:
             s.satisfied for s in with_plan.round_stats
         ]
 
-    def test_merged_with_outages(self):
-        plan = FaultPlan(tracker_brownouts=[Brownout(0.0, 10.0, capacity=0.5)])
-        merged = plan.merged_with_outages(
-            OutageSchedule(tracker_outages=[Outage(20.0, 30.0)])
+    def test_outages_and_brownouts_share_one_plan(self):
+        plan = FaultPlan(
+            outages=OutageSchedule(tracker_outages=[Outage(20.0, 30.0)]),
+            tracker_brownouts=[Brownout(0.0, 10.0, capacity=0.5)],
         )
-        assert merged.tracker_capacity(5.0) == 0.5
-        assert merged.tracker_capacity(25.0) == 0.0
-        # empty schedule: same plan returned untouched
-        assert plan.merged_with_outages(OutageSchedule()) is plan
+        assert plan.tracker_capacity(5.0) == 0.5
+        assert plan.tracker_capacity(25.0) == 0.0
+        assert plan.tracker_capacity(35.0) == 1.0

@@ -204,6 +204,89 @@ class TestRunCampaign:
         assert "Fig. 1(A)" in capsys.readouterr().out
 
 
+class TestRunRejectsBadSettings:
+    """A setting no campaign can use fails before anything is written."""
+
+    GOOD = ["--days", "0.05", "--base", "50", "--seed", "3", "--no-flash-crowd"]
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--checkpoint-every", "0"),
+            ("--keep-last", "0"),
+            ("--segment-records", "0"),
+            ("--base", "-5"),
+            ("--base", "nan"),
+            ("--days", "-1"),
+            ("--days", "inf"),
+        ],
+    )
+    def test_bad_value_leaves_nothing(self, tmp_path, capsys, shards, flag, value):
+        trace = tmp_path / "camp"
+        argv = ["run", "--trace-dir", str(trace), "--shards", shards, *self.GOOD]
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        # no manifest, checkpoints/ or shards/: not even the directory
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_corrected_rerun_succeeds_in_the_same_directory(
+        self, tmp_path, capsys, shards
+    ):
+        trace = tmp_path / "camp"
+        argv = ["run", "--trace-dir", str(trace), "--shards", shards, *self.GOOD]
+        assert main([*argv, "--checkpoint-every", "0"]) == 2
+        assert main(argv) == 0
+        assert "campaign complete" in capsys.readouterr().out
+
+    def test_library_entry_points_check_before_writing(self, tmp_path):
+        from repro.core.experiments import run_campaign
+        from repro.fleet import FleetCampaignConfig, run_fleet_campaign
+
+        with pytest.raises(ValueError, match="checkpoint_every_rounds"):
+            run_campaign(tmp_path / "one", days=0.05, checkpoint_every_rounds=0)
+        with pytest.raises(ValueError, match="records_per_segment"):
+            run_fleet_campaign(
+                FleetCampaignConfig(
+                    campaign_dir=tmp_path / "fleet",
+                    num_shards=2,
+                    days=0.05,
+                    records_per_segment=0,
+                )
+            )
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_fleet_with_no_completed_shard_fails(tmp_path, capsys, monkeypatch):
+    import repro.fleet
+    from repro.fleet import FleetResult
+    from repro.fleet.supervisor import ShardOutcome
+
+    def all_quarantined(config, **_):
+        outcomes = {
+            sid: ShardOutcome(sid, "quarantined", rounds_completed=0, restarts=3)
+            for sid in range(config.num_shards)
+        }
+        return FleetResult(
+            campaign_dir=Path(config.campaign_dir),
+            outcomes=outcomes,
+            merge=None,
+            interrupted=False,
+        )
+
+    monkeypatch.setattr(repro.fleet, "run_fleet_campaign", all_quarantined)
+    rc = main(
+        ["run", "--trace-dir", str(tmp_path / "camp"), "--shards", "2",
+         "--days", "0.05"]
+    )
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "QUARANTINED shards: [0, 1]" in out
+    assert "campaign complete" not in out
+    assert "no shard completed" in err
+
+
 class TestSimulate:
     def test_trace_created(self, cli_trace):
         segments = SegmentedTraceReader(cli_trace).segment_paths()

@@ -2,17 +2,18 @@
 
 DESIGN.md Sec. 5 promises that every component is seeded and a run is
 reproducible bit-for-bit; these tests enforce it at the strongest level
-available for each artifact (trace bytes on disk, metric values, preset
-construction).
+available for each artifact (trace bytes on disk, metric values, the
+paper-scale campaign defaults).
 """
 
 import hashlib
+import inspect
 
 import pytest
 
 from repro.core.experiments import chart, fig6_plan, run_campaign
 from repro.traces import SegmentedTraceReader
-from repro.workloads import presets
+from repro.workloads import FlashCrowdEvent
 
 
 def sha256(trace_dir):
@@ -63,30 +64,15 @@ class TestTraceDeterminism:
         assert first == second
 
 
-class TestPresets:
-    def test_paper_preset_shape(self):
-        config, days = presets.paper_two_weeks()
-        assert days == 14.0
-        assert config.flash_crowd is not None
+class TestPaperDefaults:
+    def test_run_campaign_defaults_are_the_paper_weeks(self):
+        # examples/paper_reproduction.py relies on these defaults.
+        defaults = {
+            name: param.default
+            for name, param in inspect.signature(run_campaign).parameters.items()
+        }
+        assert defaults["days"] == 14.0
+        assert defaults["base_concurrency"] == 1_000.0
+        assert defaults["with_flash_crowd"] is True
         # flash crowd peaks on day 5 around 9 p.m.
-        peak = config.flash_crowd.peak_time
-        assert int(peak // 86_400) == 5
-
-    def test_bench_week_covers_flash_crowd(self):
-        config, days = presets.bench_week()
-        assert days * 86_400 > config.flash_crowd.peak_time
-
-    def test_quick_presets_have_no_flash_crowd(self):
-        for factory in (presets.laptop_quick, presets.smoke):
-            config, days = factory()
-            assert config.flash_crowd is None
-            assert days <= 2.0
-
-    def test_presets_runnable(self):
-        from repro.simulator import UUSeeSystem
-        from repro.traces import InMemoryTraceStore
-
-        config, days = presets.smoke()
-        system = UUSeeSystem(config, InMemoryTraceStore())
-        system.run(days=days)
-        assert system.concurrent_peers() > 10
+        assert int(FlashCrowdEvent().peak_time // 86_400) == 5
