@@ -36,7 +36,7 @@ def _warm_system() -> UUSeeSystem:
 def test_exchange_round_5k(benchmark):
     system = _warm_system()
     exchange = system.exchange
-    clock = [system.engine.now]
+    clock = [system.now]
 
     def five_exchange_rounds():
         stats = None

@@ -42,7 +42,7 @@ def flash_crowd_study(tmp: Path) -> None:
     print("Simulating 2.5 days with a flash crowd on the second evening ...")
     with SegmentedTraceStore(trace_path) as store:
         system = UUSeeSystem(config, store)
-        system.run(days=2.5)
+        system.run(seconds=2.5 * DAY)
     times = {
         "9am day2": 1 * DAY + 9 * HOUR,
         "9pm normal (day1)": 21.0 * HOUR,

@@ -41,11 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core import experiments as ex
-from repro.core.dynamics import (
-    partner_stability,
-    population_turnover,
-    session_statistics,
-)
+from repro.core.dynamics import trace_dynamics
 from repro.core.report import format_table, format_trace_health
 from repro.obs.exporters import create_observer, finalize_observer
 from repro.obs.summarize import render_summary
@@ -730,6 +726,15 @@ def _run_figures(trace, figures, csv_dir, obs) -> dict[str, object]:
     return payloads
 
 
+def _trace_error(exc: TraceFormatError) -> int:
+    """Report a damaged trace on stderr; the exit status for it."""
+    print(
+        f"error: {exc}\n(--tolerant skips and counts damaged records)",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.trace.exists():
         print(f"error: no such trace: {args.trace}", file=sys.stderr)
@@ -756,11 +761,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 print(format_trace_health(trace.health, title=f"trace health {args.trace}"))
             _print_campaign_health(args.trace)
     except TraceFormatError as exc:
-        print(
-            f"error: {exc}\n(--tolerant skips and counts damaged records)",
-            file=sys.stderr,
-        )
-        return 2
+        return _trace_error(exc)
     finally:
         if args.obs_dir is not None:
             finalize_observer(obs, args.obs_dir)
@@ -799,39 +800,28 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(f"error: no such trace: {args.trace}", file=sys.stderr)
         return 2
     trace = SegmentedTraceReader(args.trace, tolerant=args.tolerant)
-    count = 0
-    first = last = None
-    ips = set()
-    channels = set()
-    for report in trace:
-        count += 1
-        first = report.time if first is None else first
-        last = report.time
-        ips.add(report.peer_ip)
-        channels.add(report.channel_id)
-    if count == 0:
+    try:
+        dynamics = trace_dynamics(trace)
+    except TraceFormatError as exc:
+        return _trace_error(exc)
+    if dynamics.reports == 0:
         # An interrupted fleet campaign has no merged root trace yet,
         # but its health summary (per-shard status, incidents) is
         # exactly what an operator checking on it needs.
         print("empty trace")
         _print_campaign_health(args.trace)
         return 0
-    sessions = session_statistics(trace)
-    turnover = population_turnover(trace)
-    stability = partner_stability(trace)
-    span_days = (last - first) / 86_400.0
-    mean_turnover = (
-        sum(p.turnover_rate for p in turnover) / len(turnover) if turnover else 0.0
-    )
+    sessions = dynamics.sessions
+    span_days = (dynamics.last_time - dynamics.first_time) / 86_400.0
     rows = [
-        ["reports", count],
-        ["reporting peers (stable IPs)", len(ips)],
-        ["channels", len(channels)],
+        ["reports", dynamics.reports],
+        ["reporting peers (stable IPs)", sessions.num_peers],
+        ["channels", dynamics.channels],
         ["span (days)", round(span_days, 2)],
         ["mean reporting span (min)", round(sessions.mean_span_s / 60.0, 1)],
         ["mean reports per peer", round(sessions.mean_reports_per_peer, 1)],
-        ["mean window turnover rate", round(mean_turnover, 3)],
-        ["mean partner-list jaccard", round(stability.mean_jaccard, 3)],
+        ["mean window turnover rate", round(dynamics.mean_turnover_rate, 3)],
+        ["mean partner-list jaccard", round(dynamics.stability.mean_jaccard, 3)],
     ]
     print(format_table(["property", "value"], rows, title=f"trace {args.trace}"))
     if args.tolerant:

@@ -44,10 +44,9 @@ from repro.core import experiments
 from repro.core.dynamics import (
     PartnerStability,
     SessionStatistics,
+    TraceDynamics,
     TurnoverPoint,
-    partner_stability,
-    population_turnover,
-    session_statistics,
+    trace_dynamics,
 )
 from repro.core.resilience import ResilienceStats, quality_dip, satisfied_series
 from repro.core.report import (
@@ -93,8 +92,7 @@ __all__ = [
     "write_csv",
     "PartnerStability",
     "SessionStatistics",
+    "TraceDynamics",
     "TurnoverPoint",
-    "partner_stability",
-    "population_turnover",
-    "session_statistics",
+    "trace_dynamics",
 ]

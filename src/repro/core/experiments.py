@@ -310,7 +310,7 @@ def run_campaign(
                 )
                 store.rollback(0)
         system = UUSeeSystem(config, store, catalogue=catalogue, obs=obs)
-    remaining = days * SECONDS_PER_DAY - system.engine.now
+    remaining = days * SECONDS_PER_DAY - system.now
     finished = True
     if remaining > 1e-9:
         with obs.span("campaign.run"):

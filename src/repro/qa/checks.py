@@ -170,7 +170,7 @@ class WallClockRule(Rule):
     title = "wall-clock read in simulated-time code"
     severity = Severity.ERROR
     rationale = (
-        "simulator/, traces/, core/ and obs/ run on the event engine's "
+        "simulator/, traces/, core/ and obs/ run on the simulator's "
         "virtual clock; reading the host clock makes traces differ "
         "between runs and machines (obs durations must flow through the "
         "injectable clock seam in repro/obs/clock.py)."
@@ -188,7 +188,7 @@ class WallClockRule(Rule):
                         node.lineno,
                         node.col_offset,
                         f"{name}() reads the wall clock; simulated-time code "
-                        "must take time from the event engine",
+                        "must take time from the simulated clock",
                     )
             elif isinstance(node, ast.ImportFrom) and node.module == "time":
                 bad = sorted(

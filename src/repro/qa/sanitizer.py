@@ -67,7 +67,7 @@ def _raiser(qualname: str) -> Callable[..., Any]:
         raise NondeterminismError(
             f"{qualname} called inside deterministic_guard(); simulation "
             "code must draw from an injected random.Random(seed) and read "
-            "time from the event engine"
+            "time from the simulated clock"
         )
 
     return forbidden

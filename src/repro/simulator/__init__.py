@@ -1,4 +1,4 @@
-"""Discrete-event simulator of the UUSee P2P live streaming system.
+"""Round-based simulator of the UUSee P2P live streaming system.
 
 This is the substrate that stands in for the paper's proprietary data
 source.  It implements the UUSee protocol as described in Sec. 3.1:
@@ -18,7 +18,6 @@ all *emerge* from these rules plus the synthetic network model; they
 are not scripted.
 """
 
-from repro.simulator.engine import EventEngine, ScheduledEvent
 from repro.simulator.checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
@@ -48,8 +47,6 @@ from repro.simulator.blocks import BlockSwarm, SwarmConfig
 from repro.simulator.system import SystemConfig, UUSeeSystem
 
 __all__ = [
-    "EventEngine",
-    "ScheduledEvent",
     "CheckpointCorruptError",
     "CheckpointError",
     "CheckpointManager",

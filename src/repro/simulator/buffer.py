@@ -1,12 +1,12 @@
-"""Sliding-window buffer map (paper Sec. 3.1 / 3.2).
+"""Sliding-window buffer map (paper Sec. 3.1).
 
 UUSee peers exchange blocks of the media stream inside a sliding
-window and report their buffer maps to the trace server.  The exchange
-rounds of this simulator move media in aggregate (kbps), so the buffer
-map tracks segment *occupancy* within the window: playback drains one
-segment per segment-interval, received throughput fills the earliest
-holes first, and the compact encoding reported in traces is the
-window offset plus a fill bitmap.
+window.  The block-level swarm (:mod:`repro.simulator.blocks`) holds one
+:class:`BufferMap` per peer: it stores individual segments that arrive
+inside the window, and playback drains them contiguously from the
+playback point.  The system simulator's exchange rounds move media in
+aggregate kbps and keep no buffer map; its reports carry a float
+``buffer_fill`` instead.
 """
 
 from __future__ import annotations
@@ -29,31 +29,9 @@ class BufferMap:
         """Absolute index of the next segment to play."""
         return self._playback_pos
 
-    def fill_count(self) -> int:
-        """Segments currently buffered."""
-        return len(self._held)
-
-    def fill_fraction(self) -> float:
-        """Window occupancy in [0, 1]."""
-        return len(self._held) / self.window_segments
-
     def has_segment(self, index: int) -> bool:
         """True when absolute segment ``index`` is buffered."""
         return index in self._held
-
-    def receive_segments(self, count: int) -> int:
-        """Fill the ``count`` earliest missing window slots; returns added."""
-        if count < 0:
-            raise ValueError("segment count must be non-negative")
-        added = 0
-        idx = self._playback_pos
-        end = self._playback_pos + self.window_segments
-        while added < count and idx < end:
-            if idx not in self._held:
-                self._held.add(idx)
-                added += 1
-            idx += 1
-        return added
 
     def receive_segment_at(self, index: int) -> bool:
         """Store the specific segment ``index`` if it is inside the window.
@@ -86,19 +64,3 @@ class BufferMap:
             # the playback point follows the broadcast, not the buffer).
             self._playback_pos += segments - played
         return played
-
-    def to_bitmap(self) -> str:
-        """Compact hex encoding of window occupancy (traces' buffer map)."""
-        bits = 0
-        for offset in range(self.window_segments):
-            if (self._playback_pos + offset) in self._held:
-                bits |= 1 << offset
-        width = (self.window_segments + 3) // 4
-        return f"{bits:0{width}x}"
-
-    @classmethod
-    def occupancy_from_bitmap(cls, bitmap: str, window_segments: int) -> float:
-        """Fill fraction encoded in a trace buffer map."""
-        bits = int(bitmap, 16)
-        count = bin(bits).count("1")
-        return count / window_segments

@@ -240,9 +240,13 @@ def snapshot_system(
         # written by the removed struct-of-arrays backends carry another
         # value and are refused on restore.
         "engine": "object",
-        "clock": system.engine.clock_state(),
-        # The exchange engine's latest entry point lags the event clock
-        # by up to a round; structured policies stamp new links with it.
+        # (now, 0, 0): builds that kept an event queue stored its
+        # scheduled and run event counts here, always 0 because nothing
+        # was scheduled, so the same 3-tuple resumes across them both ways.
+        "clock": (system.now, 0, 0),
+        # The simulated time of the exchange engine's latest entry point:
+        # up to a round behind ``now``; structured policies stamp new
+        # links with it.
         "exchange_clock": system.exchange.clock,
         "rounds_completed": system.rounds_completed,
         "trace_records": trace_records,
@@ -318,7 +322,7 @@ def restore_into(
             f"checkpoint was taken under the {engine!r} engine backend, "
             "which was removed; only 'object' checkpoints can be restored"
         )
-    system.engine.restore_clock(state["clock"])
+    system.now = state["clock"][0]
     system.rounds_completed = state["rounds_completed"]
     system.peers.clear()
     system.peers.update(state["peers"])
@@ -346,7 +350,7 @@ def restore_into(
     _restore_allocator(system._server_allocator, state["server_allocator"])
     system._departures = list(state["departures"])
     # .get(): checkpoints written before the exchange clock was captured.
-    system.exchange.clock = state.get("exchange_clock", system.engine.now)
+    system.exchange.clock = state.get("exchange_clock", system.now)
     # The matching policy is guaranteed by the config token above (the
     # overlay spec is a SystemConfig field); .get() keeps checkpoints
     # written before the overlay lab restorable.

@@ -238,7 +238,7 @@ class ExchangeEngine:
                 continue
             if self.connect(peer, other, now):
                 connected += 1
-        self.select_suppliers(peer)
+        self.partner_policy.select_suppliers(peer)
         return connected
 
     # -- tracker contact with bounded exponential backoff ---------------------
@@ -296,32 +296,8 @@ class ExchangeEngine:
                     self.tracker.unregister(peer.channel_id, pid)
                 else:
                     self.connect(peer, other, now)
-            self.select_suppliers(peer)
+            self.partner_policy.select_suppliers(peer)
         return True
-
-    # -- supplier selection ---------------------------------------------------
-
-    def _candidate_score(self, peer: Peer, pid: int, link: Link) -> float:
-        score: float = self.partner_policy.candidate_score(peer, pid, link)
-        return score
-
-    def select_suppliers(self, peer: Peer) -> None:
-        """(Re)build the active supplier set from the partner list.
-
-        Delegates to the bound :class:`~repro.overlay.PartnerPolicy`;
-        the default ``uusee`` policy reproduces the pre-extraction
-        greedy loop draw-for-draw.
-        """
-        self.partner_policy.select_suppliers(peer)
-
-    def refine_suppliers(self, peer: Peer, *, sample_size: int = 10) -> None:
-        """Incremental improvement: drop useless suppliers, try new ones.
-
-        Cheaper than full reselection and closer to how a running client
-        behaves; delegated to the bound policy (structured overlays
-        re-derive the supplier set from their topology instead).
-        """
-        self.partner_policy.refine_suppliers(peer, sample_size=sample_size)
 
     # -- maintenance tick -------------------------------------------------------
 

@@ -3,14 +3,18 @@
 ``UUSeeSystem`` owns every component — ISP address plan, latency and
 bandwidth models, channel catalogue, tracker, streaming servers, the
 exchange engine, the arrival/churn workload and the trace server — and
-advances them in fixed exchange rounds on the discrete-event engine.
+advances them in fixed exchange rounds.  The peers of the paper report
+every 10 minutes (Sec. 3.2), so simulated time is one float, ``now``,
+that each round moves forward by ``ProtocolConfig.round_seconds``;
+within a round, membership, maintenance ticks, the exchange and the
+reports run in that order.
 
 Typical use::
 
     config = SystemConfig(base_concurrency=800, seed=7)
     store = InMemoryTraceStore()
     system = UUSeeSystem(config, store)
-    system.run(days=2)
+    system.run(seconds=2 * 86_400.0)
 
 after which ``store`` holds a Magellan-style trace ready for
 ``repro.core`` analytics.
@@ -32,7 +36,6 @@ from repro.network.isp import DEFAULT_ISPS, Isp, IspDatabase
 from repro.network.latency import LatencyModel
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.simulator.channel import ChannelCatalogue, default_catalogue
-from repro.simulator.engine import EventEngine
 from repro.simulator.exchange import ExchangeEngine, RoundStats
 from repro.simulator.failures import FaultPlan
 from repro.simulator.gcpolicy import campaign_gc
@@ -121,8 +124,9 @@ class UUSeeSystem:
         self.isp_db = IspDatabase(isps)
         self.latency = LatencyModel(seed=seed_for())
         self.bandwidth = BandwidthSampler(seed=seed_for())
-        self.engine = EventEngine()
-        obs.bind_sim_clock(lambda: self.engine.now)
+        #: Simulated time in seconds: the start of the next round.
+        self.now = 0.0
+        obs.bind_sim_clock(lambda: self.now)
         self.tracker = Tracker(seed=seed_for())
         self.trace_server = TraceServer(
             store, loss_rate=config.trace_loss_rate, seed=seed_for(), obs=obs
@@ -169,7 +173,7 @@ class UUSeeSystem:
         self.total_departures = 0
         self.total_crashes = 0
         #: Exchange rounds fully completed; names checkpoint files, so it
-        #: must advance only after the round's engine window has run.
+        #: must advance only after the round's clock step.
         self.rounds_completed = 0
         self._create_servers()
         # Drawn last so fault-free runs keep the exact random streams of
@@ -209,14 +213,13 @@ class UUSeeSystem:
     def run(
         self,
         *,
-        seconds: float | None = None,
-        days: float | None = None,
+        seconds: float,
         checkpoint: CheckpointManager | None = None,
         checkpoint_every_rounds: int = 0,
         stop: Callable[[], bool] | None = None,
         on_round: Callable[[int], None] | None = None,
     ) -> bool:
-        """Advance the simulation by the given span (cumulative).
+        """Advance the simulation by ``seconds`` (cumulative).
 
         With a ``checkpoint`` manager and ``checkpoint_every_rounds > 0``
         the run persists a crash-recovery checkpoint after every N-th
@@ -234,19 +237,16 @@ class UUSeeSystem:
         (:func:`repro.simulator.gcpolicy.campaign_gc`); the process's
         collector settings are restored on every exit.
         """
-        if (seconds is None) == (days is None):
-            raise ValueError("pass exactly one of seconds/days")
         if checkpoint is not None and checkpoint_every_rounds < 1:
             raise ValueError(
                 "checkpoint_every_rounds must be >= 1 when checkpointing"
             )
-        span = seconds if seconds is not None else days * 86_400.0
-        end = self.engine.now + span
+        end = self.now + seconds
         dt = self.config.protocol.round_seconds
         with campaign_gc(self.obs):
-            while self.engine.now < end - 1e-9:
+            while self.now < end - 1e-9:
                 self._round(dt)
-                self.engine.run_until(self.engine.now + dt)
+                self.now += dt
                 self.rounds_completed += 1
                 if (
                     checkpoint is not None
@@ -260,7 +260,7 @@ class UUSeeSystem:
         return True
 
     def _round(self, dt: float) -> None:
-        now = self.engine.now
+        now = self.now
         obs = self.obs
         arrivals0 = self.total_arrivals
         departures0 = self.total_departures
@@ -408,7 +408,7 @@ class UUSeeSystem:
 
     def stable_peers(self) -> int:
         """Online viewers old enough to have reported at least once."""
-        now = self.engine.now
+        now = self.now
         first = self.config.protocol.first_report_delay_s
         return sum(
             1

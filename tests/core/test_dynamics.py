@@ -2,21 +2,30 @@
 
 import pytest
 
-from repro.core.dynamics import (
-    partner_stability,
-    population_turnover,
-    session_statistics,
-)
+from repro.core.dynamics import trace_dynamics
+from repro.traces.store import TraceFormatError
 from tests.core.helpers import partner, report
+
+
+def session_statistics(reports):
+    return trace_dynamics(reports).sessions
+
+
+def population_turnover(reports, **kwargs):
+    return trace_dynamics(reports, **kwargs).turnover
+
+
+def partner_stability(reports):
+    return trace_dynamics(reports).stability
 
 
 class TestSessionStatistics:
     def test_spans_and_counts(self):
         reports = [
             report(1, t=1200.0),
+            report(2, t=1200.0),
             report(1, t=1800.0),
             report(1, t=2400.0),
-            report(2, t=1200.0),
         ]
         stats = session_statistics(reports)
         assert stats.num_peers == 2
@@ -30,7 +39,7 @@ class TestSessionStatistics:
         assert stats.mean_span_s == 0.0
 
     def test_median(self):
-        reports = [report(1, t=0.0), report(1, t=600.0), report(2, t=0.0)]
+        reports = [report(1, t=0.0), report(2, t=0.0), report(1, t=600.0)]
         stats = session_statistics(reports)
         assert stats.median_span_s in (0.0, 600.0)
 
@@ -96,15 +105,40 @@ class TestPartnerStability:
         assert stats.mean_jaccard == 0.0
 
 
+class TestTraceCounts:
+    def test_counts_and_span_in_trace_order(self):
+        reports = [
+            report(1, t=5.0, channel=1),
+            report(2, t=900.0, channel=2),
+            report(1, t=1300.0, channel=1),
+        ]
+        dynamics = trace_dynamics(reports)
+        assert dynamics.reports == 3
+        assert dynamics.channels == 2
+        assert (dynamics.first_time, dynamics.last_time) == (5.0, 1300.0)
+        assert dynamics.mean_turnover_rate == pytest.approx(
+            sum(p.turnover_rate for p in dynamics.turnover) / 3
+        )
+
+    def test_empty(self):
+        dynamics = trace_dynamics([])
+        assert dynamics.reports == dynamics.channels == 0
+        assert dynamics.mean_turnover_rate == 0.0
+
+    def test_order_regression_across_windows_raises(self):
+        with pytest.raises(TraceFormatError):
+            trace_dynamics([report(1, t=700.0), report(2, t=10.0)])
+
+
 class TestOnSimulatedTrace:
     def test_simulated_dynamics_plausible(self, small_trace):
-        stats = session_statistics(small_trace)
+        dynamics = trace_dynamics(small_trace)
+        stats = dynamics.sessions
         assert stats.num_peers > 100
         # stable peers live ~tens of minutes beyond their first report
         assert 0 < stats.mean_span_s < 3 * 3600
-        turnover = population_turnover(small_trace)
-        rates = [p.turnover_rate for p in turnover[10:]]
+        rates = [p.turnover_rate for p in dynamics.turnover[10:]]
         assert 0.05 < sum(rates) / len(rates) < 1.5
-        stability = partner_stability(small_trace)
+        stability = dynamics.stability
         # partner lists churn but do not reset between reports
         assert 0.2 < stability.mean_jaccard < 0.98

@@ -58,7 +58,7 @@ class TestPolicyCheckpointResume:
 
         resumed = UUSeeSystem(config, InMemoryTraceStore())
         restore_into(resumed, state)
-        resumed.run(seconds=4 * 3_600.0 - resumed.engine.now)
+        resumed.run(seconds=4 * 3_600.0 - resumed.now)
 
         assert draw_fingerprint(resumed) == draw_fingerprint(reference)
         ref_state = snapshot_system(reference)

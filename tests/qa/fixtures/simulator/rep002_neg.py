@@ -1,4 +1,4 @@
-"""REP002 negative: time flows in from the event engine."""
+"""REP002 negative: time flows in from the simulated clock."""
 
 
 def _stamp(now: float) -> float:

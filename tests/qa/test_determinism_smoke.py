@@ -35,7 +35,7 @@ def _run_to_trace(path: Path, faults: FaultPlan | None) -> None:
     )
     with SegmentedTraceStore(path) as store:
         system = UUSeeSystem(config, store)
-        system.run(days=0.1)
+        system.run(seconds=0.1 * 86_400.0)
 
 
 def _sha256(trace_dir: Path) -> str:

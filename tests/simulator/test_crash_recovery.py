@@ -309,7 +309,7 @@ class TestOlderCheckpointKeys:
         restored, _ = fresh_system(tmp_path / "restored")
         restore_into(restored, state)
         assert draw_fingerprint(restored) == draw_fingerprint(live)
-        assert restored.exchange.clock == restored.engine.now
+        assert restored.exchange.clock == restored.now
 
 
 class TestRunCampaign:

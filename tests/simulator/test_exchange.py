@@ -140,14 +140,14 @@ class TestSelection:
         a = make_peer(peers, 1)
         for i in range(2, 40):
             ex.connect(a, make_peer(peers, i), 0.0)
-        ex.select_suppliers(a)
+        ex.partner_policy.select_suppliers(a)
         assert 8 <= len(a.suppliers) <= ex.config.max_active_suppliers
 
     def test_server_never_selects(self):
         peers, _, ex = make_world()
         s = make_peer(peers, 1, is_server=True)
         ex.connect(s, make_peer(peers, 2), 0.0)
-        ex.select_suppliers(s)
+        ex.partner_policy.select_suppliers(s)
         assert s.suppliers == set()
 
     def test_tree_policy_only_uses_closer_peers(self):
@@ -160,7 +160,7 @@ class TestSelection:
         farther.depth = 5
         ex.connect(a, closer, 0.0)
         ex.connect(a, farther, 0.0)
-        ex.select_suppliers(a)
+        ex.partner_policy.select_suppliers(a)
         assert 2 in a.suppliers
         assert 3 not in a.suppliers
 
@@ -169,7 +169,7 @@ class TestSelection:
         a = make_peer(peers, 1)
         for i in range(2, 30):
             ex.connect(a, make_peer(peers, i), 0.0)
-        ex.select_suppliers(a)
+        ex.partner_policy.select_suppliers(a)
         assert len(a.suppliers) >= 8
 
     def test_reciprocation_bonus_prefers_mutual(self):
@@ -184,8 +184,8 @@ class TestSelection:
             link.est_kbps = 50.0
             link.rtt_ms = 30.0
         b.suppliers.add(1)
-        score_b = ex._candidate_score(a, 2, a.partners[2])
-        score_c = ex._candidate_score(a, 3, a.partners[3])
+        score_b = ex.partner_policy.candidate_score(a, 2, a.partners[2])
+        score_c = ex.partner_policy.candidate_score(a, 3, a.partners[3])
         assert score_b > score_c
 
     def test_refine_drops_dead_and_weak(self):
@@ -200,7 +200,7 @@ class TestSelection:
             ex.connect(a, make_peer(peers, i), 0.0)
             a.partners[i].est_kbps = 60.0
             a.suppliers.add(i)
-        ex.refine_suppliers(a)
+        ex.partner_policy.refine_suppliers(a)
         assert 777 not in a.suppliers
         assert 2 not in a.suppliers
 
@@ -210,7 +210,7 @@ class TestSelection:
         for i in range(2, 20):
             ex.connect(a, make_peer(peers, i), 0.0)
         a.suppliers = set()
-        ex.refine_suppliers(a, sample_size=30)
+        ex.partner_policy.refine_suppliers(a, sample_size=30)
         assert len(a.suppliers) > 0
 
 

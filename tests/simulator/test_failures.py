@@ -27,7 +27,7 @@ def satisfied_at(system, when):
 
 
 def stable_satisfied_now(system):
-    now = system.engine.now
+    now = system.now
     stable = [
         p
         for p in system.peers.values()
@@ -68,7 +68,7 @@ class TestTrackerOutage:
     def test_newcomers_degraded_then_recover(self):
         outage = Outage(start=4 * HOUR, end=5 * HOUR)
         system = run_with(OutageSchedule(tracker_outages=[outage]))
-        now = system.engine.now
+        now = system.now
         # peers that joined during the outage and are still young had no
         # bootstrap; check that joins kept happening regardless
         assert system.concurrent_peers() > 50

@@ -2,10 +2,10 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulator import BufferMap, EventEngine
+from repro.simulator import BufferMap
 from repro.simulator.util import SampleableSet
 
 
@@ -51,71 +51,36 @@ class TestSampleableSetProperties:
             assert excluded not in s.sample(rng, len(items), exclude=excluded)
 
 
+def apply(b, operations):
+    """Run ``(is_receive, n)`` steps: store segment ``playback + n``, or
+    play ``n`` segments; yields after each step."""
+    for is_receive, n in operations:
+        if is_receive:
+            b.receive_segment_at(b.playback_position + n)
+        else:
+            b.advance_playback(n)
+        yield
+
+
 class TestBufferMapProperties:
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 20)), max_size=60))
     def test_fill_never_exceeds_window(self, operations):
         b = BufferMap(window_segments=16)
-        for is_receive, count in operations:
-            if is_receive:
-                b.receive_segments(count)
-            else:
-                b.advance_playback(count)
-            assert 0 <= b.fill_count() <= 16
-            assert 0.0 <= b.fill_fraction() <= 1.0
+        for _ in apply(b, operations):
+            start = b.playback_position
+            assert all(start <= i < start + 16 for i in b._held)
 
-    @given(st.lists(st.integers(0, 30), max_size=30))
-    def test_receive_accounts_exactly(self, counts):
+    @given(st.lists(st.integers(0, 40), max_size=30))
+    def test_receive_accounts_exactly(self, indices):
         b = BufferMap(window_segments=32)
-        total_added = sum(b.receive_segments(c) for c in counts)
-        assert b.fill_count() == total_added
+        total_added = sum(b.receive_segment_at(i) for i in indices)
+        assert total_added == len({i for i in indices if i < 32})
+        assert total_added == sum(b.has_segment(i) for i in range(32))
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10)), max_size=60))
     def test_playback_position_monotone(self, operations):
         b = BufferMap(window_segments=8)
         last = b.playback_position
-        for is_receive, count in operations:
-            if is_receive:
-                b.receive_segments(count)
-            else:
-                b.advance_playback(count)
+        for _ in apply(b, operations):
             assert b.playback_position >= last
             last = b.playback_position
-
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10)), max_size=40))
-    def test_bitmap_roundtrip_consistent(self, operations):
-        b = BufferMap(window_segments=12)
-        for is_receive, count in operations:
-            if is_receive:
-                b.receive_segments(count)
-            else:
-                b.advance_playback(count)
-        occupancy = BufferMap.occupancy_from_bitmap(b.to_bitmap(), 12)
-        assert occupancy == b.fill_count() / 12
-
-
-class TestEngineProperties:
-    @given(st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=50))
-    @settings(max_examples=50)
-    def test_events_fire_in_time_order(self, delays):
-        engine = EventEngine()
-        fired: list[float] = []
-        for d in delays:
-            engine.schedule(d, lambda t=d: fired.append(t))
-        engine.run()
-        assert fired == sorted(fired, key=lambda t: t)
-        assert len(fired) == len(delays)
-        assert engine.now == max(delays)
-
-    @given(
-        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30),
-        st.floats(0.0, 100.0),
-    )
-    @settings(max_examples=50)
-    def test_run_until_boundary(self, delays, horizon):
-        engine = EventEngine()
-        fired: list[float] = []
-        for d in delays:
-            engine.schedule(d, lambda t=d: fired.append(t))
-        engine.run_until(horizon)
-        assert all(t <= horizon for t in fired)
-        assert len(fired) == sum(1 for d in delays if d <= horizon)

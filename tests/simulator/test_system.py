@@ -30,7 +30,7 @@ def run_system(**overrides):
 class TestSystemRun:
     def test_concurrency_tracks_target(self):
         system, _ = run_system(hours=8)
-        target = system.config.population().target(system.engine.now)
+        target = system.config.population().target(system.now)
         assert system.concurrent_peers() == pytest.approx(target, rel=0.45)
         assert system.concurrent_peers() > 50
 
@@ -101,7 +101,7 @@ class TestSystemRun:
 
     def test_streaming_quality_reasonable(self):
         system, _ = run_system(hours=10, base_concurrency=300.0)
-        now = system.engine.now
+        now = system.now
         stable = [
             p
             for p in system.peers.values()
@@ -119,23 +119,27 @@ class TestSystemRun:
         baseline, _ = run_system(hours=5, base_concurrency=150.0)
         assert in_crowd > 1.4 * baseline.concurrent_peers()
 
-    def test_run_argument_validation(self):
+    def test_run_argument_validation(self, tmp_path):
         system, _ = run_system(hours=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             system.run()
         with pytest.raises(ValueError):
-            system.run(seconds=10, days=1)
+            system.run(
+                seconds=600,
+                checkpoint=CheckpointManager(tmp_path),
+                checkpoint_every_rounds=0,
+            )
 
     def test_indegree_below_emergent_ceiling(self):
         system, store = run_system(hours=8, base_concurrency=300.0)
         ceiling = system.config.protocol.indegree_ceiling(400.0)
-        recent = [r for r in store.reports if r.time > system.engine.now - 600]
+        recent = [r for r in store.reports if r.time > system.now - 600]
         for report in recent:
             assert len(report.active_suppliers()) <= ceiling + 2
 
     def test_mean_active_indegree_near_ten(self):
         system, store = run_system(hours=8, base_concurrency=300.0)
-        recent = [r for r in store.reports if r.time > system.engine.now - 600]
+        recent = [r for r in store.reports if r.time > system.now - 600]
         indegrees = [len(r.active_suppliers()) for r in recent]
         assert 6 <= statistics.mean(indegrees) <= 16
 

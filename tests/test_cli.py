@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,69 @@ def dirty_copy(trace, tmp_path):
     dirty = tmp_path / "dirty.jsonl"
     dirty.write_text(lines[0] + "".join(lines[:-1]) + lines[-1][:30])
     return dirty
+
+
+#: ``repro info`` on ``cli_trace``, plain and on its ``dirty_copy`` with
+#: ``--tolerant``, with the trace path replaced by ``{trace}`` and each
+#: line's trailing padding stripped.
+INFO_SUMMARY = """\
+trace {trace}
+property                      value
+----------------------------  ------
+                     reports    1330
+reporting peers (stable IPs)     470
+                    channels       8
+                 span (days)   0.390
+   mean reporting span (min)  18.400
+       mean reports per peer   2.800
+   mean window turnover rate   0.719
+   mean partner-list jaccard   0.409
+
+campaign health {trace}
+property                        value
+------------------------------  -----
+              rounds completed     58
+                 trace records   1330
+            resumed from round      -
+                partner policy  uusee
+        server-dropped reports      6
+quarantined records (recovery)      0
+    truncated lines (recovery)      0
+     parse failures (recovery)      0
+"""
+INFO_TOLERANT = """\
+trace {trace}
+property                      value
+----------------------------  ------
+                     reports    1329
+reporting peers (stable IPs)     469
+                    channels       8
+                 span (days)   0.390
+   mean reporting span (min)  18.400
+       mean reports per peer   2.800
+   mean window turnover rate   0.719
+   mean partner-list jaccard   0.409
+
+trace health {trace}
+counter                    value
+-------------------------  -------
+               lines read     1331
+               records ok     1329
+           parse failures        0
+          truncated lines        1
+       duplicates dropped        1
+        reordered records     1015
+    max reorder depth (s)  583.600
+      quarantined records        0
+server drops (collection)        0
+spill overflow (reporter)        0
+"""
+
+
+def pinned(out, trace):
+    """``out`` in the form of the pinned ``INFO_*`` texts."""
+    lines = out.replace(str(trace), "{trace}").splitlines()
+    return "".join(line.rstrip() + "\n" for line in lines)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +376,43 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "trace health" in out
         assert "duplicates dropped" in out
+
+    def test_summary_output_is_pinned(self, cli_trace, capsys):
+        assert main(["info", "--trace", str(cli_trace)]) == 0
+        out = capsys.readouterr().out
+        assert pinned(out, cli_trace) == INFO_SUMMARY
+
+    def test_tolerant_output_is_pinned(self, cli_trace, tmp_path, capsys):
+        dirty = dirty_copy(cli_trace, tmp_path)
+        assert main(["info", "--trace", str(dirty), "--tolerant"]) == 0
+        out = capsys.readouterr().out
+        assert pinned(out, dirty) == INFO_TOLERANT
+
+    def test_reads_the_trace_once(self, cli_trace, capsys, monkeypatch):
+        passes = []
+        original = SegmentedTraceReader.__iter__
+
+        def counting(reader):
+            passes.append(reader)
+            return original(reader)
+
+        monkeypatch.setattr(SegmentedTraceReader, "__iter__", counting)
+        assert main(["info", "--trace", str(cli_trace)]) == 0
+        assert len(passes) == 1
+
+    def test_damaged_trace_exits_with_tolerant_hint(self, cli_trace, tmp_path, capsys):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(cli_trace, damaged)
+        segment = SegmentedTraceReader(damaged).segment_paths()[0]
+        lines = segment.read_text().splitlines(keepends=True)
+        lines[100] = "{not a report}\n"
+        segment.write_text("".join(lines))
+        assert main(["info", "--trace", str(damaged)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.err.count("(--tolerant skips and counts damaged records)") == 1
 
 
 class TestAnalyze:
